@@ -3,7 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Latency-aware health scoring and the quarantine state machine.
@@ -182,13 +182,84 @@ func (c HealthConfig) Validate() error {
 // score can drop below 1 — unwarmed trackers don't accuse.
 const healthWarmMin = 8
 
+// sampleWindow is a fixed-size ring of recent samples plus a sorted
+// mirror of the same samples. The ring keeps arrival order, which the
+// checkpoint digest folds; the mirror answers quantiles by index. Each
+// push keeps the mirror sorted: binary-search out the evicted sample,
+// binary-search in the new one, and shift only the span between them —
+// O(log W) compares plus at most W floats moved per sample, so a
+// quantile read, far more frequent than a sample, is one index.
+// Samples must be ordered (no NaN); RouteGray refuses NaN waits before
+// they reach a window.
+type sampleWindow struct {
+	ring   []float64
+	sorted []float64 // ring[:n] in ascending order
+	n      int       // filled entries
+	i      int       // next write index
+}
+
+func newSampleWindow(size int) sampleWindow {
+	return sampleWindow{ring: make([]float64, size), sorted: make([]float64, 0, size)}
+}
+
+// push records v, evicting the oldest sample once the ring is full.
+func (w *sampleWindow) push(v float64) {
+	if len(w.ring) == 0 {
+		return
+	}
+	k, _ := slices.BinarySearch(w.sorted, v)
+	if w.n < len(w.ring) {
+		w.sorted = slices.Insert(w.sorted, k, v)
+		w.n++
+	} else {
+		// Remove the evicted sample at j and insert v at k in one shift.
+		j, _ := slices.BinarySearch(w.sorted, w.ring[w.i])
+		if k <= j {
+			copy(w.sorted[k+1:j+1], w.sorted[k:j])
+		} else {
+			k--
+			copy(w.sorted[j:k], w.sorted[j+1:k+1])
+		}
+		w.sorted[k] = v
+	}
+	w.ring[w.i] = v
+	w.i = (w.i + 1) % len(w.ring)
+}
+
+// reset empties the window.
+func (w *sampleWindow) reset() {
+	w.n, w.i = 0, 0
+	w.sorted = w.sorted[:0]
+}
+
+// quantile is the window's q-quantile (0 when empty): the
+// ceil(q·n)-th smallest sample.
+func (w *sampleWindow) quantile(q float64) float64 {
+	if w.n == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(w.n))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return w.sorted[i]
+}
+
+// digest folds the fill, the write index and the samples in arrival
+// order.
+func (w *sampleWindow) digest(h func(uint64)) {
+	h(uint64(w.n))
+	h(uint64(w.i))
+	for _, v := range w.ring[:w.n] {
+		h(math.Float64bits(v))
+	}
+}
+
 // nodeHealth is one node's latency tracker plus quarantine state.
 type nodeHealth struct {
 	n      uint64
 	ewma   float64
-	ring   []float64
-	ringN  int // filled entries
-	ringI  int // next write index
+	win    sampleWindow
 	state  HealthState
 	since  float64 // state entry time
 	bad    int     // consecutive below-threshold observations
@@ -203,37 +274,28 @@ func (nh *nodeHealth) observe(alpha, wait float64) {
 	} else {
 		nh.ewma += alpha * (wait - nh.ewma)
 	}
-	if len(nh.ring) > 0 {
-		nh.ring[nh.ringI] = wait
-		nh.ringI = (nh.ringI + 1) % len(nh.ring)
-		if nh.ringN < len(nh.ring) {
-			nh.ringN++
-		}
-	}
+	nh.win.push(wait)
 }
 
 // reset clears the tracker (entering Probation: probes are judged on
 // fresh evidence, not on the samples that caused the quarantine).
 func (nh *nodeHealth) reset() {
 	nh.n, nh.ewma = 0, 0
-	nh.ringN, nh.ringI = 0, 0
+	nh.win.reset()
 	nh.bad, nh.good = 0, 0
 }
 
-// quantile returns the ring's q-quantile using scratch as the sort
-// buffer (no allocation once scratch is sized).
-func (nh *nodeHealth) quantile(q float64, scratch []float64) float64 {
-	if nh.ringN == 0 {
-		return 0
-	}
-	s := scratch[:nh.ringN]
-	copy(s, nh.ring[:nh.ringN])
-	sort.Float64s(s)
-	i := int(math.Ceil(q*float64(nh.ringN))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return s[i]
+// digest folds the tracker and its machine state into a checkpoint
+// digest.
+func (nh *nodeHealth) digest(h func(uint64)) {
+	h(uint64(nh.state))
+	h(math.Float64bits(nh.since))
+	h(nh.n)
+	h(math.Float64bits(nh.ewma))
+	h(uint64(nh.bad))
+	h(uint64(nh.good))
+	h(uint64(nh.probes))
+	nh.win.digest(h)
 }
 
 // DiskHealthInfo is one disk's health snapshot within a node.

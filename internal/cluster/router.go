@@ -55,18 +55,15 @@ type Router struct {
 
 	// Gray-failure resilience (see health.go): per-node latency trackers
 	// and quarantine states, the routing policy, and the global observed-
-	// wait ring that sets the hedging deadline. A Quarantined node is
+	// wait window that sets the hedging deadline. A Quarantined node is
 	// excluded from every routing path — Route and RouteLoad included —
 	// never just from the gray path.
-	policy      RoutePolicy
-	hcfg        HealthConfig
-	health      []nodeHealth
-	qScratch    []float64 // node-ring quantile sort buffer
-	refScratch  []float64 // cluster reference median buffer
-	waitRing    []float64 // recent experienced waits, all nodes
-	waitN, wI   int
-	waitScratch []float64
-	gray        GrayRouterStats
+	policy     RoutePolicy
+	hcfg       HealthConfig
+	health     []nodeHealth
+	refScratch []float64    // cluster reference median buffer
+	waits      sampleWindow // recent experienced waits, all nodes
+	gray       GrayRouterStats
 
 	// Disk granularity (armed by SetGrayPolicy): disks is each node's
 	// disk count, diskLive the per-disk in-flight streams (summing to

@@ -71,14 +71,12 @@ func (r *Router) SetGrayPolicy(p RoutePolicy, hc HealthConfig) error {
 	r.policy = p
 	r.hcfg = hc.withDefaults()
 	for i := range r.health {
-		r.health[i].ring = make([]float64, r.hcfg.Window)
+		r.health[i].win = newSampleWindow(r.hcfg.Window)
 	}
-	r.qScratch = make([]float64, r.hcfg.Window)
 	r.refScratch = make([]float64, len(r.ids))
-	// The deadline ring holds 4× the node window so the hedge percentile
-	// reflects cluster-wide recent history, not one node's.
-	r.waitRing = make([]float64, 4*r.hcfg.Window)
-	r.waitScratch = make([]float64, 4*r.hcfg.Window)
+	// The deadline window holds 4× the node window so the hedge
+	// percentile reflects cluster-wide recent history, not one node's.
+	r.waits = newSampleWindow(4 * r.hcfg.Window)
 	r.diskLive = make([][]int, len(r.ids))
 	for i := range r.ids {
 		r.diskLive[i] = make([]int, r.disks[i])
@@ -88,7 +86,7 @@ func (r *Router) SetGrayPolicy(p RoutePolicy, hc HealthConfig) error {
 		for i := range r.ids {
 			r.diskHealth[i] = make([]nodeHealth, r.disks[i])
 			for d := range r.diskHealth[i] {
-				r.diskHealth[i][d].ring = make([]float64, r.hcfg.Window)
+				r.diskHealth[i][d].win = newSampleWindow(r.hcfg.Window)
 			}
 		}
 	}
@@ -207,19 +205,21 @@ func (r *Router) refLocked() float64 {
 	return ref
 }
 
-// scoreLocked is node i's health score in (0, 1]: reference latency
-// over the worse of its EWMA and its ring quantile. Unwarmed trackers
-// score 1 — they don't accuse.
+// scoreLocked is node i's health score in (0, 1].
 func (r *Router) scoreLocked(i int) float64 {
-	nh := &r.health[i]
+	return r.trackerScoreLocked(&r.health[i])
+}
+
+// trackerScoreLocked scores one node or disk tracker: reference latency
+// over the worse of its EWMA and its window quantile. Unwarmed trackers
+// score 1 — they don't accuse.
+func (r *Router) trackerScoreLocked(nh *nodeHealth) float64 {
 	if nh.n < healthWarmMin {
 		return 1
 	}
 	sig := nh.ewma
-	if len(nh.ring) > 0 {
-		if q := nh.quantile(r.hcfg.Quantile, r.qScratch); q > sig {
-			sig = q
-		}
+	if q := nh.win.quantile(r.hcfg.Quantile); q > sig {
+		sig = q
 	}
 	ref := r.refLocked()
 	if sig <= ref {
@@ -246,21 +246,7 @@ func (r *Router) diskScoreLocked(i, d int) float64 {
 	if r.diskHealth == nil {
 		return 1
 	}
-	dh := &r.diskHealth[i][d]
-	if dh.n < healthWarmMin {
-		return 1
-	}
-	sig := dh.ewma
-	if len(dh.ring) > 0 {
-		if q := dh.quantile(r.hcfg.Quantile, r.qScratch); q > sig {
-			sig = q
-		}
-	}
-	ref := r.refLocked()
-	if sig <= ref {
-		return 1
-	}
-	return ref / sig
+	return r.trackerScoreLocked(&r.diskHealth[i][d])
 }
 
 // activeDisksLocked counts node i's non-quarantined disks.
@@ -560,33 +546,19 @@ func (r *Router) observeLocked(i int, wait, now float64, probe bool) {
 }
 
 // recordWaitLocked feeds one experienced wait into the cluster-wide
-// deadline ring.
+// deadline window.
 func (r *Router) recordWaitLocked(wait float64) {
-	if len(r.waitRing) == 0 {
-		return
-	}
-	r.waitRing[r.wI] = wait
-	r.wI = (r.wI + 1) % len(r.waitRing)
-	if r.waitN < len(r.waitRing) {
-		r.waitN++
-	}
+	r.waits.push(wait)
 }
 
 // hedgeDeadlineLocked is the current hedging deadline: the configured
 // percentile of recently observed waits, floored at HedgeMin. Unarmed
 // (not enough history) until HedgeWarm waits have been seen.
 func (r *Router) hedgeDeadlineLocked() (float64, bool) {
-	if r.waitN < r.hcfg.HedgeWarm {
+	if r.waits.n < r.hcfg.HedgeWarm {
 		return 0, false
 	}
-	s := r.waitScratch[:r.waitN]
-	copy(s, r.waitRing[:r.waitN])
-	sort.Float64s(s)
-	i := int(math.Ceil(r.hcfg.HedgeQuantile*float64(r.waitN))) - 1
-	if i < 0 {
-		i = 0
-	}
-	dl := s[i]
+	dl := r.waits.quantile(r.hcfg.HedgeQuantile)
 	if dl < r.hcfg.HedgeMin {
 		dl = r.hcfg.HedgeMin
 	}
@@ -611,7 +583,8 @@ type GrayDecision struct {
 // health-weighted selection, probation probes, and (under PolicyHedge)
 // hedged dispatch. waitFn draws the physical service wait of landing
 // one request on node index i with liveAfter in-flight streams; it is
-// called once, or twice when a hedge is issued.
+// called once, or twice when a hedge is issued. A NaN or negative wait
+// is refused with ErrBadCluster and the request's reservation released.
 //
 // Hedging models real first-wins dispatch: the primary is issued at
 // t=0; if its wait exceeds the deadline D — exactly the condition "no
@@ -656,6 +629,9 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 			}
 			d, disk, diskProbe := r.commitLocked(movie, k)
 			wait := waitFn(n, disk, r.diskLiveLocked(n, disk))
+			if !(wait >= 0) {
+				return GrayDecision{}, r.refuseWaitLocked(movie, d, n, disk, wait)
+			}
 			r.gray.Probes++
 			r.observeLocked(n, wait, now, true)
 			r.observeDiskLocked(n, disk, wait, now, diskProbe)
@@ -722,6 +698,9 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 	d, disk1, diskProbe1 := r.commitLocked(movie, choice)
 	primary := hosts[choice]
 	wait1 := waitFn(primary, disk1, r.diskLiveLocked(primary, disk1))
+	if !(wait1 >= 0) {
+		return GrayDecision{}, r.refuseWaitLocked(movie, d, primary, disk1, wait1)
+	}
 	out := GrayDecision{LoadDecision: d, Wait: wait1, Disk: disk1, Probe: diskProbe1}
 
 	if r.policy == PolicyHedge && len(up) > 1 {
@@ -746,7 +725,6 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				bk = -1
 			}
 			if bk >= 0 {
-				r.hedgeTokens--
 				backup := hosts[bk]
 				bd, disk2, diskProbe2 := r.commitLocked(movie, bk)
 				// One request, not two: back out the double count.
@@ -755,6 +733,11 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 					r.stats.Failovers--
 				}
 				wait2 := waitFn(backup, disk2, r.diskLiveLocked(backup, disk2))
+				if !(wait2 >= 0) {
+					r.cancelLocked(movie, backup, disk2)
+					return GrayDecision{}, r.refuseWaitLocked(movie, d, primary, disk1, wait2)
+				}
+				r.hedgeTokens--
 				r.gray.Hedges++
 				out.Hedged = true
 				if dl+wait2 < wait1 {
@@ -821,6 +804,19 @@ func (r *Router) commitLocked(movie string, choice int) (LoadDecision, int, bool
 	return d, disk, diskProbe
 }
 
+// refuseWaitLocked backs out a committed request whose waitFn answer
+// is NaN or negative — a value the sorted windows cannot order. The
+// reservation is released and uncounted, no tracker or window sees the
+// value, and the caller gets an ErrBadCluster. Lock held.
+func (r *Router) refuseWaitLocked(movie string, d LoadDecision, node, disk int, wait float64) error {
+	r.cancelLocked(movie, node, disk)
+	r.stats.Routed--
+	if d.Failover {
+		r.stats.Failovers--
+	}
+	return fmt.Errorf("%w: wait %v on node %q is not a non-negative number", ErrBadCluster, wait, r.ids[node])
+}
+
 // cancelLocked releases a hedge loser's reservation: the typed
 // cancellation of the slower dispatch. Lock held.
 func (r *Router) cancelLocked(movie string, node, disk int) {
@@ -839,28 +835,11 @@ func (r *Router) cancelLocked(movie string, node, disk int) {
 // deadline ring, and every counter — so a SIGKILL-resume mid-quarantine
 // verifies bit-identical. Lock held by the caller (Router.digest).
 func (r *Router) grayDigest(h func(uint64)) {
-	f := func(v float64) { h(math.Float64bits(v)) }
 	h(uint64(r.policy))
 	for i := range r.health {
-		nh := &r.health[i]
-		h(uint64(nh.state))
-		f(nh.since)
-		h(nh.n)
-		f(nh.ewma)
-		h(uint64(nh.bad))
-		h(uint64(nh.good))
-		h(uint64(nh.probes))
-		h(uint64(nh.ringN))
-		h(uint64(nh.ringI))
-		for _, w := range nh.ring[:nh.ringN] {
-			f(w)
-		}
+		r.health[i].digest(h)
 	}
-	h(uint64(r.waitN))
-	h(uint64(r.wI))
-	for _, w := range r.waitRing[:r.waitN] {
-		f(w)
-	}
+	r.waits.digest(h)
 	if r.diskLive != nil {
 		for i := range r.diskLive {
 			for _, l := range r.diskLive[i] {
@@ -871,23 +850,11 @@ func (r *Router) grayDigest(h func(uint64)) {
 	if r.diskHealth != nil {
 		for i := range r.diskHealth {
 			for d := range r.diskHealth[i] {
-				dh := &r.diskHealth[i][d]
-				h(uint64(dh.state))
-				f(dh.since)
-				h(dh.n)
-				f(dh.ewma)
-				h(uint64(dh.bad))
-				h(uint64(dh.good))
-				h(uint64(dh.probes))
-				h(uint64(dh.ringN))
-				h(uint64(dh.ringI))
-				for _, w := range dh.ring[:dh.ringN] {
-					f(w)
-				}
+				r.diskHealth[i][d].digest(h)
 			}
 		}
 	}
-	f(r.hedgeTokens)
+	h(math.Float64bits(r.hedgeTokens))
 	h(r.gray.Hedges)
 	h(r.gray.HedgeWins)
 	h(r.gray.HedgeCancels)

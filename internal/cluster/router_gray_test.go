@@ -3,6 +3,9 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
+	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -366,5 +369,76 @@ func TestRouterSetHealthStateErrors(t *testing.T) {
 	}
 	if _, err := r.HealthState("nowhere"); !errors.Is(err, ErrBadCluster) {
 		t.Errorf("HealthState unknown node error = %v, want ErrBadCluster", err)
+	}
+}
+
+// TestRouteGrayRefusesBadWait pins the sorted windows' guard: a NaN or
+// negative wait from waitFn — on the primary, the hedge backup, or a
+// probation probe — is refused with ErrBadCluster, its reservation is
+// released, and no tracker or window sees the value.
+func TestRouteGrayRefusesBadWait(t *testing.T) {
+	cases := []struct {
+		name string
+		// setup readies the router; bad then answers the call that must
+		// be refused (the first after setup unless it counts calls).
+		setup func(t *testing.T, r *Router, p Placement)
+		bad   func() func(node, disk, liveAfter int) float64
+	}{
+		{"primary NaN", nil, func() func(int, int, int) float64 {
+			return func(int, int, int) float64 { return math.NaN() }
+		}},
+		{"primary negative", nil, func() func(int, int, int) float64 {
+			return func(int, int, int) float64 { return -1 }
+		}},
+		{"backup NaN", nil, func() func(int, int, int) float64 {
+			calls := 0
+			return func(int, int, int) float64 {
+				calls++
+				if calls == 1 {
+					return 100 // blows the deadline: the router hedges
+				}
+				return math.NaN()
+			}
+		}},
+		{"probe NaN", func(t *testing.T, r *Router, p Placement) {
+			if err := r.SetHealthState(p.Replicas("hot")[0].Node, Probation); err != nil {
+				t.Fatal(err)
+			}
+			driveGray(t, r, "hot", 3, 0, nil) // the 4th eligible request probes
+		}, func() func(int, int, int) float64 {
+			return func(int, int, int) float64 { return math.NaN() }
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, p := grayRouter(t, PolicyHedge)
+			driveGray(t, r, "hot", 64, 0, nil) // arm the hedge deadline
+			if tc.setup != nil {
+				tc.setup(t, r, p)
+			}
+			health, waits := r.HealthSnapshot(), inArrivalOrder(&r.waits)
+			live, _ := r.Load()
+			stats, gray := r.Stats(), r.GrayStats()
+
+			_, err := r.RouteGray("hot", 0, tc.bad())
+			if !errors.Is(err, ErrBadCluster) {
+				t.Fatalf("RouteGray error = %v, want ErrBadCluster", err)
+			}
+			if got := r.HealthSnapshot(); !reflect.DeepEqual(got, health) {
+				t.Errorf("trackers moved:\n%+v\nwant\n%+v", got, health)
+			}
+			if got := inArrivalOrder(&r.waits); !slices.Equal(got, waits) {
+				t.Errorf("deadline window moved: %v, want %v", got, waits)
+			}
+			if got, _ := r.Load(); got != live {
+				t.Errorf("live load %d after refusal, want %d", got, live)
+			}
+			if got := r.Stats(); got != stats {
+				t.Errorf("router stats %+v after refusal, want %+v", got, stats)
+			}
+			if got := r.GrayStats(); got.Hedges != gray.Hedges || got.Probes != gray.Probes {
+				t.Errorf("gray stats %+v after refusal, want hedges/probes of %+v", got, gray)
+			}
+		})
 	}
 }

@@ -179,9 +179,13 @@ const breakerHeader = "X-Circuit"
 // breakerGate wraps the simulation endpoints in a circuit breaker:
 // repeated request timeouts trip it, after which calls fast-fail with
 // 503 + Retry-After instead of queueing doomed work behind a struggling
-// simulator. An outcome is recorded when the handler returns — failure
-// iff the request's deadline expired — so the breaker measures the
-// slow-path symptom (timeouts), not client errors.
+// simulator. Each request records exactly one outcome — a failure as
+// soon as its deadline fires, otherwise a success when the handler
+// returns — so the breaker measures the slow-path symptom (timeouts),
+// not client errors. Recording at the deadline rather than at return
+// matters when the handler ignores its context: the timeout handler has
+// already answered 503, and the client's next request must find the
+// circuit tripped rather than time out again.
 func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !br.Allow() {
@@ -191,14 +195,23 @@ func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
 				fmt.Errorf("simulation circuit open after repeated timeouts; retry after cooldown"))
 			return
 		}
-		defer func() {
-			// Recorded in a defer so a panicking handler still settles its
-			// half-open probe instead of wedging the breaker.
+		settle := sync.OnceFunc(func() {
 			if r.Context().Err() == context.DeadlineExceeded {
 				br.Failure()
 			} else {
 				br.Success()
 			}
+		})
+		stop := context.AfterFunc(r.Context(), func() {
+			if r.Context().Err() == context.DeadlineExceeded {
+				settle()
+			}
+		})
+		defer func() {
+			// Settled in a defer so a panicking handler still settles its
+			// half-open probe instead of wedging the breaker.
+			stop()
+			settle()
 		}()
 		next.ServeHTTP(w, r)
 	})

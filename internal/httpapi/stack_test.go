@@ -156,6 +156,63 @@ func TestSimulateTimeoutTripsBreaker(t *testing.T) {
 	}
 }
 
+// serveIgnoringContext starts one breaker-gated request whose handler
+// ignores its context and blocks until the returned release is called;
+// release waits for the request to finish.
+func serveIgnoringContext(ctx context.Context, br *resilience.Breaker) (release func()) {
+	unblock, done := make(chan struct{}), make(chan struct{})
+	h := breakerGate(br, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-unblock
+	}))
+	go func() {
+		defer close(done)
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/simulate", nil).WithContext(ctx))
+	}()
+	return func() {
+		close(unblock)
+		<-done
+	}
+}
+
+// TestBreakerRecordsTimeoutAtDeadline pins when a timeout counts: the
+// breaker trips when the request's deadline fires, while a handler that
+// ignores its context is still running — not when that handler returns.
+func TestBreakerRecordsTimeoutAtDeadline(t *testing.T) {
+	br := resilience.NewBreaker(1, time.Hour)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	release := serveIgnoringContext(ctx, br)
+	defer release()
+	limit := time.Now().Add(5 * time.Second)
+	for br.State() != resilience.Open {
+		if time.Now().After(limit) {
+			t.Fatalf("breaker %v 5s after the deadline fired, want open while the handler still runs", br.State())
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestBreakerOneOutcomePerRequest pins that a timed-out request records
+// exactly one outcome: its handler's eventual return must not also
+// record a success that would reset the failure streak.
+func TestBreakerOneOutcomePerRequest(t *testing.T) {
+	br := resilience.NewBreaker(2, time.Hour)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	release := serveIgnoringContext(ctx, br)
+	<-ctx.Done()
+	release()
+	if got := br.State(); got != resilience.Closed {
+		t.Fatalf("breaker %v after one timeout at threshold 2, want closed", got)
+	}
+	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel2()
+	serveIgnoringContext(expired, br)()
+	if got := br.State(); got != resilience.Open {
+		t.Fatalf("breaker %v after two timeouts at threshold 2, want open", got)
+	}
+}
+
 // TestHealthEndpointsAndDrain walks the lifecycle the serving binary
 // drives: starting (not ready), ready, draining — checking /healthz,
 // /readyz, /statusz and the drain shed on API routes at each step.

@@ -28,6 +28,10 @@ go test ./...
 # Shuffled race pass: -shuffle=on randomizes test order so ordering
 # dependencies between tests surface alongside data races.
 go test -race -shuffle=on ./...
+# Breaker timing: a timed-out simulate must trip the circuit before the
+# client's next request, on every run — a rerun catches a timing flake
+# that a single pass lets through.
+go test -count=20 -run='^TestSimulateTimeoutTripsBreaker$' ./internal/httpapi
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 
 # --- static analysis: a pinned staticcheck via the module proxy; a

@@ -123,25 +123,27 @@ run_stage churn 0.4 1.4 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -flash "m01@40000:4" \
     -budget-mb 40000 -horizon 120000 -warmup 500 -seed 7 -interval 10 \
     -checkpoint-every 2000
-# The gray run (~2.1s: ~0.85s sizing, then ~15000 sim-minutes/s) keeps
-# node0 slow and node2 browned out from t=5000 to t=16000 of 20000, so
-# a kill in [1.2, 1.8]s lands while the hedged router holds live
-# quarantine state — resume must reconstruct health scores, hedge
-# counters and quarantine streaks bit-identically.
+# The gray run (~2.6s on a 2-core host: ~0.3s sizing, then 100000
+# sim-minutes) keeps node0 slow and node2 browned out over 25–80% of
+# the horizon, so a kill in [1.2, 1.8]s lands while the hedged router
+# holds live quarantine state — resume must reconstruct health scores,
+# sorted sample windows, hedge counters and quarantine streaks
+# bit-identically. If the run's speed moves, rescale the horizon and
+# the fault times together so the kill window stays inside the faults.
 run_stage gray 1.2 1.8 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -controller=false -gray "slow:node0@5000-15000:12,brownout:node2@7000-16000:0.4" \
-    -policy hedge -horizon 20000 -warmup 500 -seed 7 -checkpoint-every 2000
-# The evacuate run (~2.3s, same sizing/throughput profile as gray) arms
+    -controller=false -gray "slow:node0@25000-75000:12,brownout:node2@35000-80000:0.4" \
+    -policy hedge -horizon 100000 -warmup 500 -seed 7 -checkpoint-every 2000
+# The evacuate run (~2.5s, same sizing/throughput profile as gray) arms
 # the controller with a 10-minute evacuation dwell: node0 quarantines
-# just past t=5000 and its replicas drain shortly after, so a kill in
-# [1.2, 1.8]s lands inside the quarantine-dwell-drain window — resume
-# must reconstruct the evacuation ledger, in-flight drain migrations
-# and health state bit-identically.
+# just past t=25000 and its replicas drain shortly after, so a kill in
+# [1.2, 1.8]s lands while node0 sits quarantined and evacuated — resume
+# must reconstruct the evacuation ledger, drain migrations and health
+# state bit-identically.
 run_stage evacuate 1.2 1.8 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -gray "slow:node0@5000-15000:12" -policy hedge -evacuate-dwell 10 \
-    -interval 10 -budget-mb 200000 -horizon 20000 -warmup 500 -seed 7 \
+    -gray "slow:node0@25000-75000:12" -policy hedge -evacuate-dwell 10 \
+    -interval 10 -budget-mb 200000 -horizon 100000 -warmup 500 -seed 7 \
     -checkpoint-every 2000
 
 echo "killresume: all stages passed"
