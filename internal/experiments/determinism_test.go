@@ -9,110 +9,59 @@ import (
 
 // The experiment sweeps fan out over a worker pool with order-preserving
 // result assembly, so the rendered figures must be byte-identical at any
-// worker count. These tests pin that property for every parallelized
-// experiment: a drift here means a sweep is assembling results in
+// worker count. These tests pin that property for every experiment of
+// the quick sweep: a drift here means a sweep is assembling results in
 // completion order, sharing mutable state across workers, or seeding
 // simulations nondeterministically.
 
-// renderers runs each parallelized experiment and prints it, the exact
-// path cmd/vodbench takes.
+// renderers runs each experiment of `vodbench -exp all -quick`, in its
+// order, and prints it: the exact path cmd/vodbench takes.
 var renderers = []struct {
 	name string
 	run  func(o Options, w io.Writer) error
 }{
-	{"fig7a", func(o Options, w io.Writer) error {
-		s, err := Fig7(Fig7FF, o)
-		if err != nil {
-			return err
-		}
-		PrintFig7(w, Fig7FF, s)
-		return nil
-	}},
-	{"fig7d", func(o Options, w io.Writer) error {
-		s, err := Fig7(Fig7Mixed, o)
-		if err != nil {
-			return err
-		}
-		PrintFig7(w, Fig7Mixed, s)
-		return nil
-	}},
-	{"fig8", func(o Options, w io.Writer) error {
-		r, err := Fig8(o)
-		if err != nil {
-			return err
-		}
-		PrintFig8(w, r)
-		return nil
-	}},
-	{"fig9", func(o Options, w io.Writer) error {
-		c, err := Fig9(o)
-		if err != nil {
-			return err
-		}
-		PrintFig9(w, c)
-		return nil
-	}},
-	{"sens", func(o Options, w io.Writer) error {
-		r, err := Sensitivity(o)
-		if err != nil {
-			return err
-		}
-		PrintSensitivity(w, r)
-		return nil
-	}},
-	{"piggyback", func(o Options, w io.Writer) error {
-		r, err := Piggyback(o)
-		if err != nil {
-			return err
-		}
-		PrintPiggyback(w, r)
-		return nil
-	}},
-	{"faults", func(o Options, w io.Writer) error {
-		r, err := Faults(o)
-		if err != nil {
-			return err
-		}
-		PrintFaults(w, r)
-		return nil
-	}},
-	{"churn", func(o Options, w io.Writer) error {
-		r, err := Churn(o)
-		if err != nil {
-			return err
-		}
-		PrintChurn(w, r)
-		return nil
-	}},
-	{"gray", func(o Options, w io.Writer) error {
-		r, err := Gray(o)
-		if err != nil {
-			return err
-		}
-		PrintGray(w, r)
-		return nil
-	}},
-	{"scale", func(o Options, w io.Writer) error {
+	{"fig7a", fig7Renderer(Fig7FF)},
+	{"fig7b", fig7Renderer(Fig7RW)},
+	{"fig7c", fig7Renderer(Fig7PAU)},
+	{"fig7d", fig7Renderer(Fig7Mixed)},
+	{"fig8", render(Fig8, PrintFig8)},
+	{"ex1", render(Example1, PrintExample1)},
+	{"fig9", render(Fig9, PrintFig9)},
+	{"ex2", render(Example2, PrintExample2)},
+	{"sens", render(Sensitivity, PrintSensitivity)},
+	{"piggyback", render(Piggyback, PrintPiggyback)},
+	{"e2e", render(EndToEnd, PrintEndToEnd)},
+	{"faults", render(Faults, PrintFaults)},
+	{"cluster", render(Cluster, PrintCluster)},
+	{"churn", render(Churn, PrintChurn)},
+	{"gray", render(Gray, PrintGray)},
+	{"scale", render(func(o Options) ([]ScaleRow, error) {
 		r, err := Scale(o)
-		if err != nil {
-			return err
-		}
 		// Wall-clock columns measure the host, not the simulation; zero
 		// them so the determinism check covers the simulated statistics.
 		for i := range r {
 			r[i].Wall = 0
 		}
-		PrintScale(w, r)
-		return nil
-	}},
-	{"verify", func(o Options, w io.Writer) error {
-		r, err := VerifyTable(o)
+		return r, err
+	}, PrintScale)},
+	{"verify", render(VerifyTable, PrintVerifyTable)},
+}
+
+// render pairs an experiment with its printer.
+func render[T any](run func(Options) (T, error), print func(io.Writer, T)) func(Options, io.Writer) error {
+	return func(o Options, w io.Writer) error {
+		r, err := run(o)
 		if err != nil {
 			return err
 		}
-		PrintVerifyTable(w, r)
+		print(w, r)
 		return nil
-	}},
+	}
+}
+
+func fig7Renderer(v Fig7Variant) func(Options, io.Writer) error {
+	return render(func(o Options) ([]Fig7Series, error) { return Fig7(v, o) },
+		func(w io.Writer, s []Fig7Series) { PrintFig7(w, v, s) })
 }
 
 func TestParallelOutputMatchesSequential(t *testing.T) {

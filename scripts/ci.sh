@@ -1,5 +1,5 @@
 #!/bin/sh
-# Tier-1 verification: vet, build, tests, a shuffled race pass, a
+# Tier-1 verification: a gofmt check, vet, build, tests, a shuffled race pass, a
 # pinned-staticcheck stage (skipped gracefully offline), and a
 # benchmark smoke pass (one iteration each, so broken benchmarks fail CI
 # without paying for measurement). The race pass covers the parallel
@@ -22,6 +22,14 @@
 # Run from anywhere; operates on the repository root.
 set -eu
 cd "$(dirname "$0")/.."
+# Formatting: every Go file outside the hidden build directories must be
+# gofmt-clean; list the offenders and fail otherwise.
+unformatted=$(find . -name '*.go' -not -path './.*' -exec gofmt -l {} +)
+if [ -n "$unformatted" ]; then
+    echo "ci: gofmt would reformat:" >&2
+    echo "$unformatted" >&2
+    exit 1
+fi
 go vet ./...
 go build ./...
 go test ./...
