@@ -17,10 +17,10 @@ type durFn struct {
 	F func(x float64) float64
 	G func(x float64) float64
 	// FG evaluates F and G at one point, sharing the subexpressions the
-	// closed forms have in common (the Gamma family's G contains F as a
-	// term, so the fused path halves the incomplete-gamma evaluations on
-	// the model's hot loop). Always returns the same bits as calling F
-	// and G separately.
+	// closed forms have in common: the Gamma family's G needs P(k) and
+	// P(k+1), which dist.IncGammaPair evaluates together (one Exp at
+	// integer shapes), and the exponential's F and G share one Expm1.
+	// Always returns the same bits as calling F and G separately.
 	FG func(x float64) (fx, gx float64)
 	// Gl caches G(l) for the construction-time movie length: the movie-end
 	// clip branch of clippedMass needs it on every call.
@@ -67,25 +67,27 @@ func rawDurFn(d dist.Distribution, l float64) durFn {
 			}
 			// ∫₀ˣ (1 − e^{−t/m}) dt = x − m(1 − e^{−x/m}).
 			return x + m*math.Expm1(-x/m)
+		}, FG: func(x float64) (float64, float64) {
+			if x <= 0 {
+				return 0, 0
+			}
+			e := math.Expm1(-x / m)
+			return -e, x + m*e
 		}}
 	case dist.Gamma:
 		k, th := t.Shape(), t.Scale()
-		up := dist.MustGamma(k+1, th) // P(k+1, x/θ) = Gamma(k+1,θ).CDF(x)
+		fg := func(x float64) (float64, float64) {
+			if x <= 0 {
+				return 0, 0
+			}
+			// F = P(k, x/θ) and ∫₀ˣ F = x·P(k, x/θ) − kθ·P(k+1, x/θ).
+			p, p1 := dist.IncGammaPair(k, x/th)
+			return p, x*p - k*th*p1
+		}
 		return durFn{F: F, G: func(x float64) float64 {
-			if x <= 0 {
-				return 0
-			}
-			// ∫₀ˣ F = x·P(k, x/θ) − kθ·P(k+1, x/θ).
-			return x*t.CDF(x) - k*th*up.CDF(x)
-		}, FG: func(x float64) (float64, float64) {
-			// G contains F as a subterm; evaluating them together costs
-			// two incomplete-gamma calls instead of three.
-			fx := t.CDF(x)
-			if x <= 0 {
-				return fx, 0
-			}
-			return fx, x*fx - k*th*up.CDF(x)
-		}}
+			_, gx := fg(x)
+			return gx
+		}, FG: fg}
 	case dist.Uniform:
 		lo, hi := t.Support()
 		return durFn{F: F, G: func(x float64) float64 {

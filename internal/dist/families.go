@@ -72,9 +72,13 @@ type Gamma struct {
 }
 
 // NewGamma returns a gamma distribution with the given shape and scale.
+// The shape must be at most MaxGammaShape.
 func NewGamma(shape, scale float64) (Gamma, error) {
 	if !(shape > 0) || !(scale > 0) || math.IsInf(shape, 0) || math.IsInf(scale, 0) {
 		return Gamma{}, badParam("gamma shape %v and scale %v must be positive and finite", shape, scale)
+	}
+	if shape > MaxGammaShape {
+		return Gamma{}, badParam("gamma shape %v exceeds the largest supported shape %g", shape, float64(MaxGammaShape))
 	}
 	return Gamma{shape: shape, scale: scale}, nil
 }
@@ -343,7 +347,8 @@ func (d Weibull) Support() (float64, float64) { return 0, math.Inf(1) }
 // GammaFromMoments builds a gamma distribution with the given mean and
 // coefficient of variation cv = stddev/mean: shape = 1/cv², scale =
 // mean·cv². The natural constructor when matching measured VCR
-// durations (the paper's "obtained by statistics").
+// durations (the paper's "obtained by statistics"). The shape bound
+// MaxGammaShape makes cv = 1e-4 the smallest accepted.
 func GammaFromMoments(mean, cv float64) (Gamma, error) {
 	if !(mean > 0) || !(cv > 0) {
 		return Gamma{}, badParam("gamma mean %v and cv %v must be positive", mean, cv)

@@ -111,10 +111,11 @@ run_stage fluid 0.3 1.1 "$tmp/vodsim" -l 120 -b 30 -n 30 -lambda 20000 \
     -engine fluid -horizon 150000 -warmup 500 -seed 7 -compare=false \
     -checkpoint-every 150000
 # -parallel 1 serializes the per-node sims so journaled rows spread
-# over ~1.4s of wall clock instead of landing nearly at once; the kill
-# window sits past the ~0.8s sizing phase that precedes the first row
-# and ends before the ~2.2s finish (timings from the PR 7 engine —
-# recalibrate both if the sweep gets materially faster or slower).
+# over ~2.5s of wall clock instead of landing nearly at once; the kill
+# window sits past the ~0.3s sizing phase that precedes the first row
+# and ends before the ~3s finish (timings on a 2-core host with the
+# integer-shape incomplete gamma — recalibrate both if the sweep gets
+# materially faster or slower).
 run_stage cluster 1.0 1.9 "$tmp/vodcluster" sweep -min-nodes 2 -max-nodes 5 \
     -lambda 1.5 -horizon 12000 -warmup 600 -seed 7 -parallel 1
 # The churn run finishes in ~1.8s with replay checkpoints every 2000
@@ -123,7 +124,7 @@ run_stage churn 0.4 1.4 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -flash "m01@40000:4" \
     -budget-mb 40000 -horizon 120000 -warmup 500 -seed 7 -interval 10 \
     -checkpoint-every 2000
-# The gray run (~2.6s on a 2-core host: ~0.3s sizing, then 100000
+# The gray run (~2.7s on a 2-core host: ~0.15s sizing, then 100000
 # sim-minutes) keeps node0 slow and node2 browned out over 25–80% of
 # the horizon, so a kill in [1.2, 1.8]s lands while the hedged router
 # holds live quarantine state — resume must reconstruct health scores,
