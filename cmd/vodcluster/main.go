@@ -68,7 +68,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `vodcluster <plan|simulate|sweep> [flags]
+	fmt.Fprintln(os.Stderr, `vodcluster <plan|simulate|sweep|churn> [flags]
 
   plan      size the catalog and bin-pack it onto nodes (the default)
   simulate  plan, then run one simulated server per node with failover routing

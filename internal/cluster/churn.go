@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,6 +12,7 @@ import (
 	"strings"
 
 	"vodalloc/internal/checkpoint"
+	"vodalloc/internal/des"
 	"vodalloc/internal/sim"
 	"vodalloc/internal/workload"
 )
@@ -320,13 +320,14 @@ func (r *ChurnResult) Summary() string {
 	return b.String()
 }
 
-// Churn event kinds, in tie-break priority order at equal timestamps:
+// Churn event classes, in tie-break priority order at equal timestamps:
 // node transitions first (outages, then gray set/clear), then migration
 // completions (a replica landing at time t serves traffic at time t),
 // the epoch re-draw and the control tick before traffic, and departures
-// before arrivals so slots free first.
+// before arrivals so slots free first. The kernel fires equal-time
+// events lowest class first, FIFO within a class.
 const (
-	cevDown = iota
+	cevDown uint8 = iota
 	cevUp
 	cevGraySet
 	cevGrayClear
@@ -337,37 +338,9 @@ const (
 	cevArrival
 )
 
-type churnEvent struct {
-	t     float64
-	kind  int8
-	seq   uint64
-	movie int
-	node  string
-	disk  int // serving disk of a gray-run cevDeparture
-	epoch int
-	gray  int // index into cfg.Gray for cevGraySet/cevGrayClear
-	mig   Migration
-}
-
-type churnHeap []churnEvent
-
-func (h churnHeap) Len() int { return len(h) }
-func (h churnHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h churnHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *churnHeap) Push(x any)   { *h = append(*h, x.(churnEvent)) }
-func (h *churnHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // churnRun is the engine's live state. The run is strictly sequential;
-// determinism comes from the seeded generators and the (t, kind, seq)
-// event order.
+// determinism comes from the seeded generators and the kernel's (time,
+// class, seq) event order.
 type churnRun struct {
 	cfg      ChurnConfig
 	router   *Router
@@ -376,11 +349,9 @@ type churnRun struct {
 	alloc    map[string]MovieAlloc
 	rngs     []*rand.Rand
 	rates    []float64
-	h        churnHeap
-	seq      uint64
+	k        horizonKernel
+	arrive   []func(now float64) // per-movie arrival callbacks, stamped with epoch
 	epoch    int
-	now      float64
-	fired    uint64
 	flashEnd float64
 
 	arrivals, admitted uint64
@@ -426,6 +397,8 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		alloc:       make(map[string]MovieAlloc, len(cfg.Workload.Movies)),
 		rngs:        make([]*rand.Rand, len(cfg.Workload.Movies)),
 		rates:       make([]float64, len(cfg.Workload.Movies)),
+		k:           horizonKernel{horizon: cfg.Horizon, arrival: cevArrival},
+		arrive:      make([]func(float64), len(cfg.Workload.Movies)),
 		flashEnd:    cfg.Workload.LastFlashEnd(),
 		convergedAt: -1,
 	}
@@ -441,9 +414,9 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		}
 	}
 	for _, f := range cfg.Faults {
-		r.push(churnEvent{t: f.At, kind: cevDown, node: f.Node})
+		r.k.at(f.At, cevDown, "down", func(float64) { r.setNodeDown(f.Node, true) })
 		if f.Until > f.At {
-			r.push(churnEvent{t: f.Until, kind: cevUp, node: f.Node})
+			r.k.at(f.Until, cevUp, "up", func(float64) { r.setNodeDown(f.Node, false) })
 		}
 	}
 	if cfg.grayActive() {
@@ -465,31 +438,39 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 			}
 		}
 		r.grayRNG = rand.New(rand.NewSource(cfg.Seed ^ churnGraySalt))
-		for gi, g := range cfg.Gray {
-			r.push(churnEvent{t: g.At, kind: cevGraySet, gray: gi})
+		for _, g := range cfg.Gray {
+			r.k.at(g.At, cevGraySet, "gray-set", func(float64) { r.applyGray(g, true) })
 			if g.Until > g.At {
-				r.push(churnEvent{t: g.Until, kind: cevGrayClear, gray: gi})
+				r.k.at(g.Until, cevGrayClear, "gray-clear", func(float64) { r.applyGray(g, false) })
 			}
 		}
 	}
 	cfg.Workload.RatesInto(0, r.rates)
 	for i := range r.movies {
 		r.rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * 0x5E3779B97F4A7C15)))
-		r.scheduleArrival(i, 0)
 	}
+	r.redrawArrivals(0)
 	if el := cfg.Workload.EpochLength(); el < cfg.Horizon && !cfg.Workload.Static() {
-		r.push(churnEvent{t: el, kind: cevEpoch})
+		r.k.at(el, cevEpoch, "epoch", r.epochBoundary)
 	}
 	if r.ctrl != nil {
-		r.push(churnEvent{t: r.ctrl.cfg.Interval, kind: cevTick})
+		r.k.at(r.ctrl.cfg.Interval, cevTick, "tick", r.tick)
+	}
+	if r.k.err != nil {
+		return nil, r.k.err
 	}
 	return r, nil
 }
 
-func (r *churnRun) push(e churnEvent) {
-	e.seq = r.seq
-	r.seq++
-	heap.Push(&r.h, e)
+// redrawArrivals stamps every movie's arrival callback with the current
+// epoch and draws its next gap from `from` at the epoch's rate. Draws
+// scheduled under an earlier epoch stay queued and fire as no-ops.
+func (r *churnRun) redrawArrivals(from float64) {
+	for i := range r.movies {
+		epoch := r.epoch
+		r.arrive[i] = func(now float64) { r.arrival(i, epoch, now) }
+		r.scheduleArrival(i, from)
+	}
 }
 
 // scheduleArrival draws movie i's next gap at the current epoch rate.
@@ -499,12 +480,7 @@ func (r *churnRun) scheduleArrival(i int, from float64) {
 	if !(r.rates[i] > 0) {
 		return
 	}
-	r.push(churnEvent{
-		t:     from + r.rngs[i].ExpFloat64()/r.rates[i],
-		kind:  cevArrival,
-		movie: i,
-		epoch: r.epoch,
-	})
+	r.k.at(from+r.rngs[i].ExpFloat64()/r.rates[i], cevArrival, "arrival", r.arrive[i])
 }
 
 // winFor returns the accumulator of the window containing time t,
@@ -517,152 +493,138 @@ func (r *churnRun) winFor(t float64) *churnWinAcc {
 	return &r.wins[wi]
 }
 
-// step executes one event. It reports false when the run is over (the
-// first arrival at or past the horizon).
-func (r *churnRun) step() (bool, error) {
-	if r.h.Len() == 0 {
-		return false, nil
+// setNodeDown applies one outage edge to the router and the controller.
+func (r *churnRun) setNodeDown(node string, down bool) {
+	if err := r.router.SetNodeDown(node, down); err != nil {
+		r.k.fail(err)
+		return
 	}
-	e := heap.Pop(&r.h).(churnEvent)
-	r.now = e.t
-	r.fired++
-	if e.t >= r.cfg.Horizon {
-		if e.kind != cevArrival {
-			return true, nil // drain non-traffic events past the horizon
-		}
-		return false, nil
+	if r.ctrl != nil {
+		// Aborted migrations stay charged; nothing to schedule.
+		r.ctrl.SetNodeDown(node, down)
 	}
-	switch e.kind {
-	case cevDown, cevUp:
-		down := e.kind == cevDown
-		if err := r.router.SetNodeDown(e.node, down); err != nil {
-			return false, err
-		}
-		if r.ctrl != nil {
-			// Aborted migrations stay charged; nothing to schedule.
-			r.ctrl.SetNodeDown(e.node, down)
-		}
-	case cevGraySet:
-		r.applyGray(r.cfg.Gray[e.gray], true)
-	case cevGrayClear:
-		r.applyGray(r.cfg.Gray[e.gray], false)
-	case cevMigDone:
-		if r.ctrl != nil {
-			if err := r.ctrl.Complete(e.mig); err != nil {
-				return false, err
+}
+
+// epochBoundary moves the workload to its next piecewise-constant epoch.
+func (r *churnRun) epochBoundary(now float64) {
+	r.epoch++
+	r.cfg.Workload.RatesInto(now, r.rates)
+	// Re-draw every movie's pending gap at the new rate (exact by
+	// memorylessness); the stale draws in the queue die by epoch stamp.
+	r.redrawArrivals(now)
+	if next := now + r.cfg.Workload.EpochLength(); next < r.cfg.Horizon {
+		r.k.at(next, cevEpoch, "epoch", r.epochBoundary)
+	}
+}
+
+// tick runs one controller round and schedules its migrations' landings.
+func (r *churnRun) tick(now float64) {
+	for _, m := range r.ctrl.Tick(now) {
+		r.k.at(m.Done, cevMigDone, "migration", func(float64) {
+			if err := r.ctrl.Complete(m); err != nil {
+				r.k.fail(err)
 			}
+		})
+	}
+	if r.convergedAt < 0 && r.flashEnd > 0 && now >= r.flashEnd &&
+		r.ctrl.InFlight() == 0 && r.ctrl.QuietTicks() >= 2 {
+		r.convergedAt = now
+	}
+	if next := now + r.ctrl.cfg.Interval; next < r.cfg.Horizon {
+		r.k.at(next, cevTick, "tick", r.tick)
+	}
+}
+
+// arrival admits, routes or sheds one viewer of movie i. An arrival
+// drawn under an earlier epoch is stale and does nothing.
+func (r *churnRun) arrival(i, epoch int, now float64) {
+	if epoch != r.epoch {
+		return
+	}
+	r.scheduleArrival(i, now)
+	measured := now >= r.cfg.Warmup
+	var win *churnWinAcc
+	if measured {
+		r.arrivals++
+		win = r.winFor(now)
+		win.arrivals++
+	}
+	if r.ctrl != nil {
+		r.ctrl.ObserveArrival(i)
+		if !r.ctrl.Admit(i) {
+			if measured {
+				r.shed[ShedDegraded]++
+			}
+			return
 		}
-	case cevEpoch:
-		r.epoch++
-		r.cfg.Workload.RatesInto(e.t, r.rates)
-		// Re-draw every movie's pending gap at the new rate (exact by
-		// memorylessness); the stale draws in the heap die by epoch stamp.
-		for i := range r.movies {
-			r.scheduleArrival(i, e.t)
+	}
+	name := r.movies[i].Name
+	var (
+		d    LoadDecision
+		wait float64
+		disk int
+		err  error
+	)
+	if r.grayOn {
+		var gd GrayDecision
+		gd, err = r.router.RouteGray(name, now, r.nodeWait)
+		d, wait, disk = gd.LoadDecision, gd.Wait, gd.Disk
+	} else {
+		d, err = r.router.RouteLoad(name)
+	}
+	if err != nil {
+		switch {
+		case errors.Is(err, ErrUnavailable):
+			if measured {
+				r.shed[ShedNoReplica]++
+			}
+		case errors.Is(err, ErrSaturated):
+			if measured {
+				r.shed[ShedSaturated]++
+			}
+		default:
+			r.k.fail(err)
 		}
-		if next := e.t + r.cfg.Workload.EpochLength(); next < r.cfg.Horizon {
-			r.push(churnEvent{t: next, kind: cevEpoch})
-		}
-	case cevTick:
-		started := r.ctrl.Tick(e.t)
-		for _, m := range started {
-			r.push(churnEvent{t: m.Done, kind: cevMigDone, mig: m})
-		}
-		if r.convergedAt < 0 && r.flashEnd > 0 && e.t >= r.flashEnd &&
-			r.ctrl.InFlight() == 0 && r.ctrl.QuietTicks() >= 2 {
-			r.convergedAt = e.t
-		}
-		if next := e.t + r.ctrl.cfg.Interval; next < r.cfg.Horizon {
-			r.push(churnEvent{t: next, kind: cevTick})
-		}
-	case cevDeparture:
+		return
+	}
+	node := d.Node
+	r.k.at(now+r.movies[i].Length, cevDeparture, "departure", func(float64) {
 		if r.grayOn {
 			// Gray departures drain the exact disk that served the stream,
 			// recorded at admission — replay-exact per-disk occupancy.
-			r.router.ReleaseDisk(r.movies[e.movie].Name, e.node, e.disk)
+			r.router.ReleaseDisk(name, node, disk)
 		} else {
-			r.router.Release(r.movies[e.movie].Name, e.node)
+			r.router.Release(name, node)
 		}
-	case cevArrival:
-		if e.epoch != r.epoch {
-			return true, nil // stale pre-boundary draw
+	})
+	if !measured {
+		return
+	}
+	r.admitted++
+	win.admitted++
+	// Contention-aware hit: a replica carrying more live viewers than its
+	// pre-allocated streams dilutes its buffer hit rate proportionally —
+	// the paper's sizing holds at or under N.
+	hit := r.alloc[name].Hit
+	if d.Live > d.AllocN && d.AllocN > 0 {
+		hit *= float64(d.AllocN) / float64(d.Live)
+	}
+	r.hitSum += hit
+	win.hitSum += hit
+	if d.Failover {
+		r.failovers++
+	}
+	if r.grayOn {
+		r.waits = append(r.waits, wait)
+		r.waitSum += wait
+		if wait > r.waitMax {
+			r.waitMax = wait
 		}
-		i := e.movie
-		r.scheduleArrival(i, e.t)
-		measured := e.t >= r.cfg.Warmup
-		var win *churnWinAcc
-		if measured {
-			r.arrivals++
-			win = r.winFor(e.t)
-			win.arrivals++
-		}
-		if r.ctrl != nil {
-			r.ctrl.ObserveArrival(i)
-			if !r.ctrl.Admit(i) {
-				if measured {
-					r.shed[ShedDegraded]++
-				}
-				return true, nil
-			}
-		}
-		var (
-			d    LoadDecision
-			wait float64
-			disk int
-			err  error
-		)
-		if r.grayOn {
-			var gd GrayDecision
-			gd, err = r.router.RouteGray(r.movies[i].Name, e.t, r.nodeWait)
-			d, wait, disk = gd.LoadDecision, gd.Wait, gd.Disk
-		} else {
-			d, err = r.router.RouteLoad(r.movies[i].Name)
-		}
-		if err != nil {
-			switch {
-			case errors.Is(err, ErrUnavailable):
-				if measured {
-					r.shed[ShedNoReplica]++
-				}
-			case errors.Is(err, ErrSaturated):
-				if measured {
-					r.shed[ShedSaturated]++
-				}
-			default:
-				return false, err
-			}
-			return true, nil
-		}
-		r.push(churnEvent{t: e.t + r.movies[i].Length, kind: cevDeparture, movie: i, node: d.Node, disk: disk})
-		if measured {
-			r.admitted++
-			win.admitted++
-			// Contention-aware hit: a replica carrying more live viewers
-			// than its pre-allocated streams dilutes its buffer hit rate
-			// proportionally — the paper's sizing holds at or under N.
-			hit := r.alloc[r.movies[i].Name].Hit
-			if d.Live > d.AllocN && d.AllocN > 0 {
-				hit *= float64(d.AllocN) / float64(d.Live)
-			}
-			r.hitSum += hit
-			win.hitSum += hit
-			if d.Failover {
-				r.failovers++
-			}
-			if r.grayOn {
-				r.waits = append(r.waits, wait)
-				r.waitSum += wait
-				if wait > r.waitMax {
-					r.waitMax = wait
-				}
-				if wait > r.cfg.starveWait() {
-					r.starved++
-					win.starved++
-				}
-			}
+		if wait > r.cfg.starveWait() {
+			r.starved++
+			win.starved++
 		}
 	}
-	return true, nil
 }
 
 // churnGraySalt derives the dedicated jitter stream from the run seed,
@@ -747,10 +709,10 @@ func (r *churnRun) digest() uint64 {
 		h.Write(buf[:])
 	}
 	f64 := func(v float64) { u64(math.Float64bits(v)) }
-	f64(r.now)
-	u64(r.fired)
+	f64(r.k.Now())
+	u64(r.k.Fired())
 	u64(uint64(r.epoch))
-	u64(uint64(r.h.Len()))
+	u64(uint64(r.k.Pending()))
 	u64(r.arrivals)
 	u64(r.admitted)
 	for _, s := range r.shed {
@@ -787,32 +749,32 @@ func (r *churnRun) digest() uint64 {
 }
 
 func (r *churnRun) checkpointNow() sim.Checkpoint {
-	return sim.Checkpoint{Fired: r.fired, Now: r.now, Digest: r.digest()}
+	return sim.Checkpoint{Fired: r.k.Fired(), Now: r.k.Now(), Digest: r.digest()}
 }
 
-// run drives the event loop to the horizon, handing a checkpoint to
-// sink every `every` events. The checkpoints only observe the schedule:
-// the event sequence and result are identical at any cadence.
+// run drives the event loop to the end of the run, handing a checkpoint
+// to sink every `every` events. The checkpoints only observe the
+// schedule: the event sequence and result are identical at any cadence.
 func (r *churnRun) run(ctx context.Context, every int, sink func(sim.Checkpoint) error) error {
-	for {
-		if r.fired%1024 == 0 {
+	for !r.k.ended {
+		if r.k.Fired()%1024 == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		more, err := r.step()
-		if err != nil {
-			return err
-		}
-		if !more {
+		if !r.k.Step() {
 			return nil
 		}
-		if sink != nil && every > 0 && r.fired%uint64(every) == 0 {
+		if r.k.err != nil {
+			return r.k.err
+		}
+		if !r.k.ended && sink != nil && every > 0 && r.k.Fired()%uint64(every) == 0 {
 			if err := sink(r.checkpointNow()); err != nil {
 				return err
 			}
 		}
 	}
+	return nil
 }
 
 // result finalizes the measurements.
@@ -888,14 +850,7 @@ func (r *churnRun) result() *ChurnResult {
 
 // RunChurn runs the churn simulation to the horizon.
 func RunChurn(ctx context.Context, cfg ChurnConfig) (*ChurnResult, error) {
-	r, err := newChurnRun(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := r.run(ctx, 0, nil); err != nil {
-		return nil, err
-	}
-	return r.result(), nil
+	return RunChurnCheckpointed(ctx, cfg, 0, nil)
 }
 
 // RunChurnCheckpointed is RunChurn handing a restart checkpoint to sink
@@ -922,25 +877,26 @@ func ResumeChurnCheckpointed(ctx context.Context, cfg ChurnConfig, cp sim.Checkp
 	if err != nil {
 		return nil, err
 	}
-	for r.fired < cp.Fired {
-		if r.fired%1024 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
+	err = r.k.RunToFired(cp.Fired, 1, func() error {
+		if r.k.err != nil {
+			return r.k.err
 		}
-		more, err := r.step()
-		if err != nil {
-			return nil, err
+		if r.k.Fired()%1024 == 0 {
+			return ctx.Err()
 		}
-		if !more {
-			return nil, fmt.Errorf("%w: run ended at %d events, checkpoint at %d",
-				sim.ErrCheckpointMismatch, r.fired, cp.Fired)
-		}
+		return nil
+	})
+	switch {
+	case errors.Is(err, des.ErrExhausted):
+		return nil, fmt.Errorf("%w: %v", sim.ErrCheckpointMismatch, err)
+	case err != nil:
+		return nil, err
+	case r.k.ended:
+		return nil, fmt.Errorf("%w: run ended at %d events, checkpoint at %d",
+			sim.ErrCheckpointMismatch, r.k.Fired(), cp.Fired)
 	}
-	if d := r.digest(); r.fired != cp.Fired || math.Float64bits(r.now) != math.Float64bits(cp.Now) || d != cp.Digest {
-		return nil, fmt.Errorf("%w: replayed fired=%d now=%x digest=%016x, checkpoint fired=%d now=%x digest=%016x",
-			sim.ErrCheckpointMismatch, r.fired, math.Float64bits(r.now), d,
-			cp.Fired, math.Float64bits(cp.Now), cp.Digest)
+	if err := cp.Verify(r.checkpointNow()); err != nil {
+		return nil, err
 	}
 	if err := r.run(ctx, every, sink); err != nil {
 		return nil, err

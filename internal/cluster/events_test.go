@@ -1,0 +1,57 @@
+package cluster
+
+import (
+	"context"
+	"errors"
+	"math"
+	"testing"
+
+	"vodalloc/internal/des"
+)
+
+// The cluster loops' horizon rule: an event at or past the horizon is
+// queued and counted but fires as a no-op, and the first arrival at or
+// past it ends the run.
+func TestHorizonKernelEndsAtFirstLateArrival(t *testing.T) {
+	k := &horizonKernel{horizon: 10, arrival: 2}
+	var fired []string
+	rec := func(s string) func(float64) { return func(float64) { fired = append(fired, s) } }
+	k.at(5, 1, "early", rec("early"))
+	k.at(10, 1, "late", rec("late"))
+	k.at(12, 2, "arrival", rec("arrival"))
+	k.at(12, 1, "tie", rec("tie"))
+	k.at(15, 1, "after", rec("after"))
+	k.Run()
+	if len(fired) != 1 || fired[0] != "early" {
+		t.Errorf("callbacks fired: %v, want only early", fired)
+	}
+	if !k.ended || k.err != nil {
+		t.Errorf("ended=%v err=%v, want ended without error", k.ended, k.err)
+	}
+	if k.Fired() != 4 || k.Pending() != 1 || k.Now() != 12 {
+		t.Errorf("fired=%d pending=%d now=%v, want 4, 1, 12", k.Fired(), k.Pending(), k.Now())
+	}
+}
+
+// A time the kernel refuses — NaN, or earlier than now — stops the churn
+// run with des.ErrPastEvent instead of panicking or firing out of order.
+func TestChurnRefusedTimeIsAnError(t *testing.T) {
+	for name, at := range map[string]func(now float64) float64{
+		"nan":  func(float64) float64 { return math.NaN() },
+		"past": func(now float64) float64 { return now - 1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			r, err := newChurnRun(flashScenario(t, false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 100; i++ {
+				r.k.Step()
+			}
+			r.k.at(at(r.k.Now()), cevTick, "bad", r.tick)
+			if err := r.run(context.Background(), 0, nil); !errors.Is(err, des.ErrPastEvent) {
+				t.Fatalf("run: %v, want des.ErrPastEvent", err)
+			}
+		})
+	}
+}

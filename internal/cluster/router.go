@@ -159,19 +159,7 @@ func (r *Router) Route(movie string) (Decision, error) {
 		r.stats.Sheds++
 		return Decision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
 	}
-	choice := up[0]
-	if len(up) > 1 {
-		// One draw per multi-host decision keeps the stream aligned
-		// across runs regardless of single-host movies in between.
-		u := r.rng.Float64() * total
-		for k, w := range wts {
-			if u < w || k == len(up)-1 {
-				choice = up[k]
-				break
-			}
-			u -= w
-		}
-	}
+	choice := up[r.drawLocked(wts, total)]
 	d := Decision{Node: r.ids[choice], Failover: r.down[hosts[0]]}
 	r.live[choice]++
 	r.stats.Routed++
@@ -179,6 +167,26 @@ func (r *Router) Route(movie string) (Decision, error) {
 		r.stats.Failovers++
 	}
 	return d, nil
+}
+
+// drawLocked picks an index into wts with probability proportional to
+// its weight; total is the weights' sum. Every multi-candidate decision
+// consumes exactly one Float64 and a single candidate none, which keeps
+// the stream aligned across runs regardless of single-host movies in
+// between.
+func (r *Router) drawLocked(wts []float64, total float64) int {
+	last := len(wts) - 1
+	if last == 0 {
+		return 0
+	}
+	u := r.rng.Float64() * total
+	for k, w := range wts[:last] {
+		if u < w {
+			return k
+		}
+		u -= w
+	}
+	return last
 }
 
 // Done releases one in-flight request previously routed to the node.
@@ -400,19 +408,7 @@ func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
 		}
 		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
 	}
-	choice := up[0]
-	if len(up) > 1 {
-		// Same single-draw discipline as Route: one Float64 per
-		// multi-candidate decision keeps the stream aligned across runs.
-		u := r.rng.Float64() * total
-		for k, w := range wts {
-			if u < w || k == len(up)-1 {
-				choice = up[k]
-				break
-			}
-			u -= w
-		}
-	}
+	choice := up[r.drawLocked(wts, total)]
 	node := hosts[choice]
 	r.live[node]++
 	if r.diskLive != nil {

@@ -326,32 +326,16 @@ func (r *Router) probeDiskLocked(i int) int {
 
 // observeDiskLocked feeds one measured wait into disk d of node i, and
 // judges probation probes on the sample alone, mirroring the node
-// machine. Disk relapse needs no availability guard — the node still
-// routes on its other disks.
+// machine. Disk relapse needs no movie-availability guard — the node
+// still routes on its other disks — only the last-active-disk one.
 func (r *Router) observeDiskLocked(i, d int, wait, now float64, probe bool) {
 	if r.diskHealth == nil {
 		return
 	}
 	dh := &r.diskHealth[i][d]
 	dh.observe(r.hcfg.Alpha, wait)
-	if r.policy == PolicyBlind || dh.state != Probation || !probe {
-		return
-	}
-	switch sc := r.instScoreLocked(wait); {
-	case sc >= r.hcfg.RestoreAbove:
-		dh.good++
-		if dh.good >= r.hcfg.ProbeOK {
-			dh.state, dh.since = Healthy, now
-			dh.bad, dh.good = 0, 0
-			r.gray.DiskRestores++
-		}
-	case sc < r.hcfg.QuarantineBelow:
-		if r.diskCanQuarantineLocked(i, d) {
-			dh.state, dh.since = Quarantined, now
-		}
-		dh.bad, dh.good = 0, 0
-	default:
-		dh.good = 0
+	if probe {
+		r.judgeProbeLocked(dh, wait, now, func() bool { return r.diskCanQuarantineLocked(i, d) }, &r.gray.DiskRestores)
 	}
 }
 
@@ -402,6 +386,10 @@ func (r *Router) canQuarantineLocked(i int) bool {
 	return true
 }
 
+// healthCounters points at the GrayRouterStats transition counters one
+// level of the quarantine machine — nodes or disks — bumps.
+type healthCounters struct{ suspects, quarantines, restores *uint64 }
+
 // tickHealthLocked advances the quarantine state machine for every
 // node, scored on its current tracker. Running the machine per routing
 // decision — not per observation of the node itself — matters: once a
@@ -409,51 +397,10 @@ func (r *Router) canQuarantineLocked(i int) bool {
 // observations, and a per-observation machine would freeze mid-streak,
 // leaving the node formally Healthy while trickling it traffic forever.
 func (r *Router) tickHealthLocked(now float64) {
+	nodes := healthCounters{&r.gray.Suspects, &r.gray.Quarantines, &r.gray.Restores}
 	for i := range r.health {
-		nh := &r.health[i]
-		if r.down[i] {
-			continue
-		}
-		switch nh.state {
-		case Healthy:
-			if nh.n >= healthWarmMin && r.scoreLocked(i) < r.hcfg.SuspectBelow {
-				nh.bad++
-			} else {
-				nh.bad = 0
-			}
-			if nh.bad >= r.hcfg.SuspectAfter {
-				nh.state, nh.since = Suspect, now
-				nh.bad, nh.good = 0, 0
-				r.gray.Suspects++
-			}
-		case Suspect:
-			sc := r.scoreLocked(i)
-			if sc < r.hcfg.QuarantineBelow {
-				nh.bad++
-			} else {
-				nh.bad = 0
-			}
-			if sc >= r.hcfg.RestoreAbove {
-				nh.good++
-			} else {
-				nh.good = 0
-			}
-			switch {
-			case nh.good >= r.hcfg.RestoreTicks:
-				nh.state, nh.since = Healthy, now
-				nh.bad, nh.good = 0, 0
-				r.gray.Restores++
-			case nh.bad >= r.hcfg.QuarantineAfter && r.canQuarantineLocked(i):
-				nh.state, nh.since = Quarantined, now
-				nh.bad, nh.good = 0, 0
-				r.gray.Quarantines++
-			}
-		case Quarantined:
-			if now-nh.since >= r.hcfg.ProbationAfter {
-				nh.state, nh.since = Probation, now
-				nh.probes = 0
-				nh.reset()
-			}
+		if !r.down[i] {
+			r.stepHealthLocked(&r.health[i], now, func() bool { return r.canQuarantineLocked(i) }, nodes)
 		}
 	}
 	if r.diskHealth == nil {
@@ -462,53 +409,61 @@ func (r *Router) tickHealthLocked(now float64) {
 	// The disk machines mirror the node machine one level down. A
 	// quarantined node's disks hold still — no traffic reaches them, so
 	// their scores are stale and their fate rides the node's.
+	disks := healthCounters{&r.gray.DiskSuspects, &r.gray.DiskQuarantines, &r.gray.DiskRestores}
 	for i := range r.diskHealth {
 		if r.down[i] || r.health[i].state == Quarantined || r.disks[i] <= 1 {
 			continue
 		}
 		for d := range r.diskHealth[i] {
-			dh := &r.diskHealth[i][d]
-			switch dh.state {
-			case Healthy:
-				if dh.n >= healthWarmMin && r.diskScoreLocked(i, d) < r.hcfg.SuspectBelow {
-					dh.bad++
-				} else {
-					dh.bad = 0
-				}
-				if dh.bad >= r.hcfg.SuspectAfter {
-					dh.state, dh.since = Suspect, now
-					dh.bad, dh.good = 0, 0
-					r.gray.DiskSuspects++
-				}
-			case Suspect:
-				sc := r.diskScoreLocked(i, d)
-				if sc < r.hcfg.QuarantineBelow {
-					dh.bad++
-				} else {
-					dh.bad = 0
-				}
-				if sc >= r.hcfg.RestoreAbove {
-					dh.good++
-				} else {
-					dh.good = 0
-				}
-				switch {
-				case dh.good >= r.hcfg.RestoreTicks:
-					dh.state, dh.since = Healthy, now
-					dh.bad, dh.good = 0, 0
-					r.gray.DiskRestores++
-				case dh.bad >= r.hcfg.QuarantineAfter && r.diskCanQuarantineLocked(i, d):
-					dh.state, dh.since = Quarantined, now
-					dh.bad, dh.good = 0, 0
-					r.gray.DiskQuarantines++
-				}
-			case Quarantined:
-				if now-dh.since >= r.hcfg.ProbationAfter {
-					dh.state, dh.since = Probation, now
-					dh.probes = 0
-					dh.reset()
-				}
-			}
+			r.stepHealthLocked(&r.diskHealth[i][d], now, func() bool { return r.diskCanQuarantineLocked(i, d) }, disks)
+		}
+	}
+}
+
+// stepHealthLocked advances one tracker's machine by one routing
+// decision. canQuarantine is the availability guard on Suspect →
+// Quarantined, evaluated only once the streak is met; c names the
+// counters the transitions bump.
+func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine func() bool, c healthCounters) {
+	switch nh.state {
+	case Healthy:
+		if nh.n >= healthWarmMin && r.trackerScoreLocked(nh) < r.hcfg.SuspectBelow {
+			nh.bad++
+		} else {
+			nh.bad = 0
+		}
+		if nh.bad >= r.hcfg.SuspectAfter {
+			nh.state, nh.since = Suspect, now
+			nh.bad, nh.good = 0, 0
+			*c.suspects++
+		}
+	case Suspect:
+		sc := r.trackerScoreLocked(nh)
+		if sc < r.hcfg.QuarantineBelow {
+			nh.bad++
+		} else {
+			nh.bad = 0
+		}
+		if sc >= r.hcfg.RestoreAbove {
+			nh.good++
+		} else {
+			nh.good = 0
+		}
+		switch {
+		case nh.good >= r.hcfg.RestoreTicks:
+			nh.state, nh.since = Healthy, now
+			nh.bad, nh.good = 0, 0
+			*c.restores++
+		case nh.bad >= r.hcfg.QuarantineAfter && canQuarantine():
+			nh.state, nh.since = Quarantined, now
+			nh.bad, nh.good = 0, 0
+			*c.quarantines++
+		}
+	case Quarantined:
+		if now-nh.since >= r.hcfg.ProbationAfter {
+			nh.state, nh.since = Probation, now
+			nh.probes = 0
+			nh.reset()
 		}
 	}
 }
@@ -520,7 +475,20 @@ func (r *Router) tickHealthLocked(now float64) {
 func (r *Router) observeLocked(i int, wait, now float64, probe bool) {
 	nh := &r.health[i]
 	nh.observe(r.hcfg.Alpha, wait)
-	if r.policy == PolicyBlind || nh.state != Probation || !probe {
+	if probe {
+		r.judgeProbeLocked(nh, wait, now, func() bool { return r.canQuarantineLocked(i) }, &r.gray.Restores)
+	}
+}
+
+// judgeProbeLocked judges one probation probe of a node or disk tracker
+// on its wait alone: ProbeOK good probes in a row restore it (bumping
+// restores), one bad probe sends it back to quarantine and restarts the
+// full dwell — the hysteresis bounding flap frequency. canQuarantine
+// guards relapses too: when it refuses (the node would strand a movie,
+// the disk is its node's last active one), the tracker stays on
+// probation instead.
+func (r *Router) judgeProbeLocked(nh *nodeHealth, wait, now float64, canQuarantine func() bool, restores *uint64) {
+	if r.policy == PolicyBlind || nh.state != Probation {
 		return
 	}
 	switch sc := r.instScoreLocked(wait); {
@@ -529,14 +497,10 @@ func (r *Router) observeLocked(i int, wait, now float64, probe bool) {
 		if nh.good >= r.hcfg.ProbeOK {
 			nh.state, nh.since = Healthy, now
 			nh.bad, nh.good = 0, 0
-			r.gray.Restores++
+			*restores++
 		}
 	case sc < r.hcfg.QuarantineBelow:
-		// One bad probe sends it back; the full dwell restarts —
-		// that is the hysteresis bounding flap frequency. The
-		// availability guard applies to relapses too: if quarantining
-		// would strand a movie, the node stays on probation instead.
-		if r.canQuarantineLocked(i) {
+		if canQuarantine() {
 			nh.state, nh.since = Quarantined, now
 		}
 		nh.bad, nh.good = 0, 0
@@ -681,19 +645,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 		}
 		return GrayDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
 	}
-	choice := up[0]
-	if len(up) > 1 {
-		// Same single-draw discipline as Route/RouteLoad: one Float64
-		// per multi-candidate decision keeps the stream aligned.
-		u := r.rng.Float64() * total
-		for k, w := range wts {
-			if u < w || k == len(up)-1 {
-				choice = up[k]
-				break
-			}
-			u -= w
-		}
-	}
+	choice := up[r.drawLocked(wts, total)]
 
 	d, disk1, diskProbe1 := r.commitLocked(movie, choice)
 	primary := hosts[choice]

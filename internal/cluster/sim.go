@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/heap"
 	"context"
 	"encoding/json"
 	"errors"
@@ -434,108 +433,60 @@ type movieFlow struct {
 	arrivals, routed, shed, failovers uint64
 }
 
-// Routing event kinds, in tie-break priority order at equal timestamps
-// (node transitions before traffic, departures before arrivals so a
-// slot frees before the next request lands).
+// Routing event classes, in tie-break priority order at equal
+// timestamps (node transitions before traffic, departures before
+// arrivals so a slot frees before the next request lands).
 const (
-	evDown = iota
+	evDown uint8 = iota
 	evUp
 	evDeparture
 	evArrival
 )
 
-type routeEvent struct {
-	t     float64
-	kind  int8
-	seq   uint64 // deterministic tie-break
-	movie int
-	node  string
-}
-
-type routeHeap []routeEvent
-
-func (h routeHeap) Len() int { return len(h) }
-func (h routeHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	if h[i].kind != h[j].kind {
-		return h[i].kind < h[j].kind
-	}
-	return h[i].seq < h[j].seq
-}
-func (h routeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *routeHeap) Push(x any)   { *h = append(*h, x.(routeEvent)) }
-func (h *routeHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
-
 // routeDemand runs the routing layer: a sequential Monte Carlo pass
 // over merged per-movie Poisson arrival streams, node outage
 // transitions and viewer departures (which release live-load slots).
 // It is deterministic for a fixed configuration — the event order is a
-// pure function of the seeded generators and the (time, kind, seq)
-// tie-break — and independent of the per-node simulations.
+// pure function of the seeded generators and the kernel's (time, class,
+// seq) order — and independent of the per-node simulations.
 func routeDemand(cfg SimConfig, movieRates []float64) ([]movieFlow, uint64, error) {
 	router, err := NewRouter(cfg.Placement, cfg.Seed)
 	if err != nil {
 		return nil, 0, err
 	}
 	flows := make([]movieFlow, len(cfg.Movies))
-	rngs := make([]*rand.Rand, len(cfg.Movies))
-	var h routeHeap
-	var seq uint64
-	push := func(e routeEvent) {
-		e.seq = seq
-		seq++
-		heap.Push(&h, e)
+	var rebalances uint64
+	k := &horizonKernel{horizon: cfg.Horizon, arrival: evArrival}
+	setDown := func(node string, down bool) {
+		if err := router.SetNodeDown(node, down); err != nil {
+			k.fail(err)
+		}
 	}
 	for _, f := range cfg.Faults {
-		push(routeEvent{t: f.At, kind: evDown, node: f.Node})
+		k.at(f.At, evDown, "down", func(float64) { setDown(f.Node, true) })
 		if f.Until > f.At {
-			push(routeEvent{t: f.Until, kind: evUp, node: f.Node})
+			k.at(f.Until, evUp, "up", func(float64) { setDown(f.Node, false) })
 		}
 	}
-	for i := range cfg.Movies {
-		rngs[i] = rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * 0x5E3779B97F4A7C15)))
-		push(routeEvent{t: rngs[i].ExpFloat64() / movieRates[i], kind: evArrival, movie: i})
-	}
-	var rebalances uint64
-	for h.Len() > 0 {
-		e := heap.Pop(&h).(routeEvent)
-		if e.t >= cfg.Horizon {
-			if e.kind != evArrival {
-				continue // drain departures/repairs past the horizon
-			}
-			break
-		}
-		switch e.kind {
-		case evDown:
-			if err := router.SetNodeDown(e.node, true); err != nil {
-				return nil, 0, err
-			}
-		case evUp:
-			if err := router.SetNodeDown(e.node, false); err != nil {
-				return nil, 0, err
-			}
-		case evDeparture:
-			router.Done(e.node)
-		case evArrival:
-			i := e.movie
-			push(routeEvent{t: e.t + rngs[i].ExpFloat64()/movieRates[i], kind: evArrival, movie: i})
-			measured := e.t >= cfg.Warmup
+	for i, m := range cfg.Movies {
+		rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * 0x5E3779B97F4A7C15)))
+		var arrive func(now float64)
+		arrive = func(now float64) {
+			k.at(now+rng.ExpFloat64()/movieRates[i], evArrival, "arrival", arrive)
+			measured := now >= cfg.Warmup
 			if measured {
 				flows[i].arrivals++
 			}
-			d, err := router.Route(cfg.Movies[i].Name)
+			d, err := router.Route(m.Name)
 			if err != nil {
 				if !errors.Is(err, ErrUnavailable) {
-					return nil, 0, err
-				}
-				if measured {
+					k.fail(err)
+				} else if measured {
 					flows[i].shed++
 				}
-				continue
+				return
 			}
-			push(routeEvent{t: e.t + cfg.Movies[i].Length, kind: evDeparture, node: d.Node})
+			k.at(now+m.Length, evDeparture, "departure", func(float64) { router.Done(d.Node) })
 			if measured {
 				flows[i].routed++
 				if d.Failover {
@@ -544,6 +495,13 @@ func routeDemand(cfg SimConfig, movieRates []float64) ([]movieFlow, uint64, erro
 				}
 			}
 		}
+		k.at(rng.ExpFloat64()/movieRates[i], evArrival, "arrival", arrive)
+	}
+	if k.err == nil {
+		k.Run()
+	}
+	if k.err != nil {
+		return nil, 0, k.err
 	}
 	return flows, rebalances, nil
 }

@@ -2,6 +2,7 @@ package des
 
 import (
 	"container/heap"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,14 +10,16 @@ import (
 
 // This file pins the arena kernel against a reference kernel that works
 // the way the pre-arena implementation did: one heap allocation per
-// event, container/heap ordering, no recycling. The two must fire
-// identical (time, payload) sequences and return identical Cancel
-// results under arbitrary schedule/cancel interleavings — the property
-// that makes the slab/free-list arena a pure optimization.
+// event, container/heap ordering by (time, class, seq), no recycling.
+// The two must fire identical (time, payload) sequences and return
+// identical Cancel results under arbitrary schedule/cancel
+// interleavings — the property that makes the slab/free-list arena,
+// and the class folded into its sequence key, a pure optimization.
 
 // refEvent / refQueue / refKernel: the reference implementation.
 type refEvent struct {
 	time   float64
+	class  uint8
 	seq    uint64
 	index  int
 	action func(now float64)
@@ -28,6 +31,9 @@ func (q refQueue) Len() int { return len(q) }
 func (q refQueue) Less(i, j int) bool {
 	if q[i].time != q[j].time {
 		return q[i].time < q[j].time
+	}
+	if q[i].class != q[j].class {
+		return q[i].class < q[j].class
 	}
 	return q[i].seq < q[j].seq
 }
@@ -56,8 +62,8 @@ type refKernel struct {
 	seq   uint64
 }
 
-func (k *refKernel) schedule(t float64, action func(now float64)) *refEvent {
-	e := &refEvent{time: t, seq: k.seq, action: action}
+func (k *refKernel) schedule(t float64, class uint8, action func(now float64)) *refEvent {
+	e := &refEvent{time: t, class: class, seq: k.seq, action: action}
 	k.seq++
 	heap.Push(&k.queue, e)
 	return e
@@ -84,7 +90,7 @@ func (k *refKernel) run() {
 // driver abstracts the two kernels behind the operations the script
 // exercises: schedule returns a canceler for the new event.
 type driver struct {
-	schedule func(t float64, action func(now float64)) (cancel func() bool)
+	schedule func(t float64, class uint8, action func(now float64)) (cancel func() bool)
 	run      func()
 }
 
@@ -95,9 +101,10 @@ type firedRec struct {
 
 // runScript drives a kernel through a seeded random workload — nested
 // scheduling from inside callbacks, cancels of live, fired and
-// already-canceled events — and returns the fired sequence plus every
-// Cancel result. Both kernels consume the rng in fire order, so equal
-// logs imply equal event sequencing throughout.
+// already-canceled events, random classes on whole-minute times so
+// equal-time ties are common — and returns the fired sequence plus
+// every Cancel result. Both kernels consume the rng in fire order, so
+// equal logs imply equal event sequencing throughout.
 func runScript(seed int64, d driver) (fired []firedRec, cancels []bool) {
 	rng := rand.New(rand.NewSource(seed))
 	var cancelers []func() bool
@@ -106,8 +113,8 @@ func runScript(seed int64, d driver) (fired []firedRec, cancels []bool) {
 	sched = func(base float64, depth int) {
 		p := payload
 		payload++
-		t := base + rng.Float64()*50
-		c := d.schedule(t, func(now float64) {
+		t := base + math.Floor(rng.Float64()*50)
+		c := d.schedule(t, uint8(rng.Intn(4)), func(now float64) {
 			fired = append(fired, firedRec{now, p})
 			if depth < 3 && rng.Float64() < 0.4 {
 				sched(now, depth+1)
@@ -134,8 +141,8 @@ func runScript(seed int64, d driver) (fired []firedRec, cancels []bool) {
 
 func arenaDriver(k *Kernel) driver {
 	return driver{
-		schedule: func(t float64, action func(now float64)) func() bool {
-			h, err := k.ScheduleAt(t, "p", action)
+		schedule: func(t float64, class uint8, action func(now float64)) func() bool {
+			h, err := k.ScheduleAtClass(t, class, "p", action)
 			if err != nil {
 				panic(err)
 			}
@@ -147,8 +154,8 @@ func arenaDriver(k *Kernel) driver {
 
 func refDriver(k *refKernel) driver {
 	return driver{
-		schedule: func(t float64, action func(now float64)) func() bool {
-			e := k.schedule(t, action)
+		schedule: func(t float64, class uint8, action func(now float64)) func() bool {
+			e := k.schedule(t, class, action)
 			return func() bool { return k.cancel(e) }
 		},
 		run: k.run,

@@ -1,10 +1,21 @@
 // Package des provides a minimal discrete-event simulation kernel: a
 // priority queue of timestamped events, a simulation clock, and
-// deterministic FIFO tie-breaking for simultaneous events.
+// deterministic tie-breaking for simultaneous events — lower class
+// first, FIFO within a class.
 //
-// The VOD simulator (internal/sim) runs entirely on this kernel; keeping
-// the kernel free of domain knowledge makes its ordering guarantees easy
-// to test in isolation.
+// Every event engine in the repository runs on this kernel: the VOD
+// simulator (internal/sim) with its fluid backend (internal/fluid), the
+// cluster churn engine and the routing pass of cluster.Simulate.
+// Keeping the kernel free of domain knowledge makes its ordering
+// guarantees easy to test in isolation.
+//
+// Classes. An engine whose simultaneous events must fire in a fixed
+// order by kind (node transitions before traffic, departures before
+// arrivals) schedules them with ScheduleAtClass; ScheduleAt is class 0.
+// The class rides in the top byte of the event's sequence key, so the
+// heap still orders by (time, key) alone and class-0 keys equal the
+// plain scheduling sequence: an engine that never uses classes fires in
+// exactly the order it did before classes existed.
 //
 // Allocation strategy. Simulations schedule millions of short-lived
 // events, so the kernel never heap-allocates per event: event records
@@ -31,7 +42,7 @@ import (
 // invalidates Handles to previous incarnations.
 type event struct {
 	time   float64
-	seq    uint64 // FIFO tie-break for equal timestamps
+	seq    uint64 // class<<classShift | scheduling sequence: the equal-time tie-break
 	index  int32  // heap index; -1 once popped or canceled
 	gen    uint32 // incremented on recycle; stale Handles mismatch
 	action func(now float64)
@@ -131,16 +142,28 @@ func (k *Kernel) recycle(e *event) {
 	k.free = append(k.free, e)
 }
 
+// classShift places an event's class in the top byte of its sequence
+// key; the scheduling sequence below it would need 2^56 events to
+// reach the class bits.
+const classShift = 56
+
 // ScheduleAt registers action to run at absolute time t. Events at equal
 // times fire in scheduling order. It returns the event handle, usable
 // with Cancel.
 func (k *Kernel) ScheduleAt(t float64, label string, action func(now float64)) (Handle, error) {
+	return k.ScheduleAtClass(t, 0, label, action)
+}
+
+// ScheduleAtClass is ScheduleAt with a tie-break class: among events at
+// equal times, a lower class fires first, and events of one class fire
+// in scheduling order. Class 0 is ScheduleAt's.
+func (k *Kernel) ScheduleAtClass(t float64, class uint8, label string, action func(now float64)) (Handle, error) {
 	if math.IsNaN(t) || t < k.now {
 		return Handle{}, fmt.Errorf("%w: t=%v now=%v (%s)", ErrPastEvent, t, k.now, label)
 	}
 	e := k.alloc()
 	e.time = t
-	e.seq = k.seq
+	e.seq = uint64(class)<<classShift | k.seq
 	e.action = action
 	e.label = label
 	k.seq++
@@ -300,9 +323,9 @@ func (k *Kernel) RunUntilCheck(horizon float64, every int, check func() error) e
 // The heap below is a specialized binary min-heap over (time, seq) —
 // container/heap without the interface boxing and with sift paths that
 // move the displaced element once instead of swapping pairwise. (time,
-// seq) is a strict total order (seq is unique), so the pop sequence is
-// independent of the internal arrangement; any correct heap fires the
-// same events in the same order.
+// seq) is a strict total order (seq is unique; its top byte is the
+// class), so the pop sequence is independent of the internal
+// arrangement; any correct heap fires the same events in the same order.
 
 func eventLess(a, b *event) bool {
 	if a.time != b.time {

@@ -50,6 +50,51 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
+// Equal-time events fire lowest class first, FIFO within a class,
+// whatever order they were scheduled in — including events scheduled at
+// the current time from inside a callback of a higher class.
+func TestSimultaneousEventsByClass(t *testing.T) {
+	var k Kernel
+	type tag struct{ class, i int }
+	var order []tag
+	classes := []uint8{3, 0, 2, 3, 1, 0, 2, 1, 3, 0}
+	for i, c := range classes {
+		c, i := c, i
+		if _, err := k.ScheduleAtClass(7, c, "tie", func(now float64) {
+			order = append(order, tag{int(c), i})
+			if c == 2 && i == 2 {
+				// Scheduled mid-tie at the current time: class 1 still
+				// fires before the pending class-2 and class-3 events.
+				if _, err := k.ScheduleAtClass(now, 1, "nested", func(float64) {
+					order = append(order, tag{1, 100})
+				}); err != nil {
+					t.Error(err)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := k.ScheduleAt(6, "earlier", func(float64) { order = append(order, tag{-1, -1}) }); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	want := []tag{{-1, -1}, {0, 1}, {0, 5}, {0, 9}, {1, 4}, {1, 7}, {2, 2}, {1, 100}, {2, 6}, {3, 0}, {3, 3}, {3, 8}}
+	if len(order) != len(want) {
+		t.Fatalf("fired %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("fired %v, want %v", order, want)
+		}
+	}
+	// Classes order ties only: an earlier time beats a lower class, and
+	// the kernel's scheduling sequence counts every class alike.
+	if s := k.State(); s.Seq != 12 || s.Fired != 12 {
+		t.Errorf("state after the tie: %+v", s)
+	}
+}
+
 func TestScheduleRelative(t *testing.T) {
 	var k Kernel
 	var at float64

@@ -57,6 +57,18 @@ func (c *Checkpoint) UnmarshalBinary(data []byte) error {
 // run.
 var ErrCheckpointMismatch = errors.New("sim: checkpoint does not match replayed state")
 
+// Verify compares the boundary a replay reached against the checkpoint:
+// event count, clock bits and digest must all match, or it returns
+// ErrCheckpointMismatch naming both sides.
+func (c Checkpoint) Verify(replayed Checkpoint) error {
+	if replayed.Fired != c.Fired || math.Float64bits(replayed.Now) != math.Float64bits(c.Now) || replayed.Digest != c.Digest {
+		return fmt.Errorf("%w: replayed fired=%d now=%x digest=%016x, checkpoint fired=%d now=%x digest=%016x",
+			ErrCheckpointMismatch, replayed.Fired, math.Float64bits(replayed.Now), replayed.Digest,
+			c.Fired, math.Float64bits(c.Now), c.Digest)
+	}
+	return nil
+}
+
 // digest hashes the server's observable mutable state: kernel counters,
 // allocator occupancy, and every per-movie measurement counter. Floats
 // are hashed by their bit patterns, so the comparison is exact, not
@@ -169,11 +181,8 @@ func (s *Server) ResumeCheckpointedCtx(ctx context.Context, cp Checkpoint, every
 		}
 		return nil, err
 	}
-	st := s.k.State()
-	if d := s.digest(); st.Fired != cp.Fired || math.Float64bits(st.Now) != math.Float64bits(cp.Now) || d != cp.Digest {
-		return nil, fmt.Errorf("%w: replayed fired=%d now=%x digest=%016x, checkpoint fired=%d now=%x digest=%016x",
-			ErrCheckpointMismatch, st.Fired, math.Float64bits(st.Now), d,
-			cp.Fired, math.Float64bits(cp.Now), cp.Digest)
+	if err := cp.Verify(s.checkpointNow()); err != nil {
+		return nil, err
 	}
 	// A checkpoint can land right after the event that exhausted a fixed
 	// buffer pool and halted the kernel; the original run ended there, so

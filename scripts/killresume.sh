@@ -2,16 +2,19 @@
 # Kill-resume verification harness: SIGKILL a checkpointed run at a
 # random point mid-flight, resume it from the surviving checkpoint
 # directory, and require the final output to be byte-identical to an
-# uninterrupted run. Three stages:
+# uninterrupted run. Seven stages:
 #
 #   single   one long vodsim simulation with periodic state checkpoints
 #   sweep    a vodsim replication sweep journaling completed items
-#   cluster  a vodcluster node-count sweep journaling per-node sim rows
-#   churn    a vodcluster churn run (live rebalancing controller) with
-#            replay checkpoints — the kill may land mid-rebalance
 #   fluid    a vodsim run on the fluid backend at λ=20000/min, so the
 #            checkpoints carry fluid per-movie state (cohort ledgers,
 #            particle census, residency EWMA) alongside the kernel
+#   cluster  a vodcluster node-count sweep journaling per-node sim rows
+#   churn    a vodcluster churn run (live rebalancing controller) with
+#            replay checkpoints — the kill may land mid-rebalance
+#   gray     a hedged vodcluster churn run killed mid-quarantine
+#   evacuate a churn run killed while the controller drains a
+#            quarantined node
 #
 # A kill that lands before any progress was journaled (or after the run
 # finished) proves nothing, so each stage retries with a fresh random
@@ -118,33 +121,40 @@ run_stage fluid 0.3 1.1 "$tmp/vodsim" -l 120 -b 30 -n 30 -lambda 20000 \
 # materially faster or slower).
 run_stage cluster 1.0 1.9 "$tmp/vodcluster" sweep -min-nodes 2 -max-nodes 5 \
     -lambda 1.5 -horizon 12000 -warmup 600 -seed 7 -parallel 1
-# The churn run finishes in ~1.8s with replay checkpoints every 2000
-# events from early in the run, so its window covers the middle.
+# The churn run (240000 sim-minutes, a 4× flash at t=80000) finishes in
+# ~2.4s uninterrupted on a 2-core host, longer with -resume, writing
+# replay checkpoints every 2000 events from early in the run; a kill in
+# [0.4, 1.4]s lands between t≈15000 and t≈85000, mid-run.
 run_stage churn 0.4 1.4 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
-    -node-streams 400 -node-buffer 200 -lambda 6 -flash "m01@40000:4" \
-    -budget-mb 40000 -horizon 120000 -warmup 500 -seed 7 -interval 10 \
+    -node-streams 400 -node-buffer 200 -lambda 6 -flash "m01@80000:4" \
+    -budget-mb 40000 -horizon 240000 -warmup 500 -seed 7 -interval 10 \
     -checkpoint-every 2000
-# The gray run (~2.7s on a 2-core host: ~0.15s sizing, then 100000
-# sim-minutes) keeps node0 slow and node2 browned out over 25–80% of
-# the horizon, so a kill in [1.2, 1.8]s lands while the hedged router
-# holds live quarantine state — resume must reconstruct health scores,
-# sorted sample windows, hedge counters and quarantine streaks
-# bit-identically. If the run's speed moves, rescale the horizon and
-# the fault times together so the kill window stays inside the faults.
-run_stage gray 1.2 1.8 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
+# The gray run (~0.15s sizing, then 200000 sim-minutes: ~3s
+# uninterrupted on a 2-core host, longer with -resume) keeps node0 slow
+# over 25–75% and node2 browned out over 35–80% of the horizon; the
+# -resume run reaches t≈92000 at 2.0s and t≈132000 at 2.9s (under
+# load the same host ran at half that pace: t≈48000 at 1.8s), so a kill
+# in [2.0, 2.9]s lands
+# while the hedged router holds live quarantine state — resume must
+# reconstruct health scores, sorted sample windows, hedge counters and
+# quarantine streaks bit-identically. If the run's speed moves, rescale
+# the horizon and the fault times together so the kill window stays
+# inside the faults.
+run_stage gray 2.0 2.9 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -controller=false -gray "slow:node0@25000-75000:12,brownout:node2@35000-80000:0.4" \
-    -policy hedge -horizon 100000 -warmup 500 -seed 7 -checkpoint-every 2000
-# The evacuate run (~2.5s, same sizing/throughput profile as gray) arms
-# the controller with a 10-minute evacuation dwell: node0 quarantines
-# just past t=25000 and its replicas drain shortly after, so a kill in
-# [1.2, 1.8]s lands while node0 sits quarantined and evacuated — resume
-# must reconstruct the evacuation ledger, drain migrations and health
-# state bit-identically.
-run_stage evacuate 1.2 1.8 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
+    -controller=false -gray "slow:node0@50000-150000:12,brownout:node2@70000-160000:0.4" \
+    -policy hedge -horizon 200000 -warmup 500 -seed 7 -checkpoint-every 2000
+# The evacuate run (~3.5s uninterrupted; same sizing profile as gray)
+# arms the controller with a 10-minute evacuation dwell: node0
+# quarantines just past t=50000 and its replicas drain shortly after;
+# the -resume run is at t≈80000 by 2.0s and t≈105000 by 2.9s, so a kill
+# in [2.0, 2.9]s lands while node0 sits quarantined and evacuated —
+# resume must reconstruct the evacuation ledger, drain migrations and
+# health state bit-identically.
+run_stage evacuate 2.0 2.9 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -gray "slow:node0@25000-75000:12" -policy hedge -evacuate-dwell 10 \
-    -interval 10 -budget-mb 200000 -horizon 100000 -warmup 500 -seed 7 \
+    -gray "slow:node0@50000-150000:12" -policy hedge -evacuate-dwell 10 \
+    -interval 10 -budget-mb 200000 -horizon 200000 -warmup 500 -seed 7 \
     -checkpoint-every 2000
 
 echo "killresume: all stages passed"
