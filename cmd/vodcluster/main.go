@@ -15,8 +15,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -270,9 +268,9 @@ func runClusterSim(ctx context.Context, cfg cluster.SimConfig, dir, walName stri
 	if err != nil {
 		return nil, err
 	}
-	if info.Restored > 0 || info.TornBytes > 0 {
+	if info.Items > 0 || info.TornBytes > 0 {
 		fmt.Fprintf(os.Stderr, "vodcluster: resumed %d of %d node rows from %s (torn tail: %d bytes)\n",
-			info.Restored, len(cfg.Placement.Nodes), dir, info.TornBytes)
+			info.Items, len(cfg.Placement.Nodes), dir, info.TornBytes)
 	}
 	return res, nil
 }
@@ -488,51 +486,18 @@ func runChurn(args []string) error {
 	return nil
 }
 
-// runChurnResumable mirrors vodsim's replay-checkpoint protocol for the
-// churn engine: the snapshot payload is the configuration identity
-// followed by the 24-byte checkpoint, a mismatched identity is refused
-// before any replay, and a finished run removes its checkpoint.
+// runChurnResumable runs churn with replay checkpoints in dir,
+// resuming from an existing checkpoint first (see sim.RunSnapshotted).
 func runChurnResumable(ctx context.Context, cfg cluster.ChurnConfig, dir string, every int) (*cluster.ChurnResult, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	identity := cfg.Identity()
-	path := filepath.Join(dir, "churn.ckpt")
-	sink := func(cp sim.Checkpoint) error {
-		b, err := cp.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		payload := append(binary.BigEndian.AppendUint64(nil, identity), b...)
-		return checkpoint.WriteSnapshot(path, checkpoint.FormatVersion, checkpoint.KindChurnRun, payload)
-	}
-
-	var res *cluster.ChurnResult
-	kind, payload, err := checkpoint.ReadSnapshot(path, checkpoint.FormatVersion)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		res, err = cluster.RunChurnCheckpointed(ctx, cfg, every, sink)
-	case err != nil:
-		return nil, err
-	default:
-		if kind != checkpoint.KindChurnRun || len(payload) != 32 {
-			return nil, fmt.Errorf("%s: not a churn run checkpoint", path)
-		}
-		if got := binary.BigEndian.Uint64(payload); got != identity {
-			return nil, fmt.Errorf("%s: %w: checkpoint was written by a different churn configuration", path, checkpoint.ErrIdentity)
-		}
-		var cp sim.Checkpoint
-		if err := cp.UnmarshalBinary(payload[8:]); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "vodcluster: resuming churn from checkpoint at t=%.2f (%d events) in %s\n", cp.Now, cp.Fired, dir)
-		res, err = cluster.ResumeChurnCheckpointed(ctx, cfg, cp, every, sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		fmt.Fprintln(os.Stderr, "vodcluster: drop finished checkpoint:", err)
-	}
-	return res, nil
+	return sim.RunSnapshotted(filepath.Join(dir, "churn.ckpt"), checkpoint.KindChurnRun, cfg.Identity(),
+		func(sink func(sim.Checkpoint) error) (*cluster.ChurnResult, error) {
+			return cluster.RunChurnCheckpointed(ctx, cfg, every, sink)
+		},
+		func(cp sim.Checkpoint, sink func(sim.Checkpoint) error) (*cluster.ChurnResult, error) {
+			fmt.Fprintf(os.Stderr, "vodcluster: resuming churn from checkpoint at t=%.2f (%d events) in %s\n", cp.Now, cp.Fired, dir)
+			return cluster.ResumeChurnCheckpointed(ctx, cfg, cp, every, sink)
+		})
 }

@@ -13,8 +13,6 @@ package main
 
 import (
 	"context"
-	"encoding/binary"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -154,11 +152,11 @@ func main() {
 		var rep *sim.Replication
 		var err error
 		if *resumeDir != "" {
-			var info sim.ResumeInfo
+			var info checkpoint.Resumed
 			rep, info, err = sim.ReplicateResumableCtx(context.Background(), cfg, *reps, *resumeDir)
-			if err == nil && (info.Resumed > 0 || info.TornBytes > 0) {
+			if err == nil && (info.Items > 0 || info.TornBytes > 0) {
 				fmt.Fprintf(os.Stderr, "vodsim: resumed %d of %d replications from %s (torn tail: %d bytes)\n",
-					info.Resumed, *reps, *resumeDir, info.TornBytes)
+					info.Items, *reps, *resumeDir, info.TornBytes)
 			}
 		} else {
 			rep, err = sim.Replicate(cfg, *reps)
@@ -201,51 +199,18 @@ func main() {
 }
 
 // runResumable executes a single run with periodic checkpoints in dir,
-// resuming from an existing checkpoint first. The snapshot payload is
-// the run's configuration identity followed by the 24-byte checkpoint;
-// the identity check refuses a snapshot from a different configuration
-// before any replay happens. On success the checkpoint is removed — a
-// finished run has nothing left to resume.
+// resuming from an existing checkpoint first (see sim.RunSnapshotted).
 func runResumable(s *sim.Simulator, cfg sim.Config, dir string, every int) (*sim.Result, error) {
-	identity := checkpoint.Identity("vodsim.run", cfg.IdentityString())
-	path := filepath.Join(dir, "sim.ckpt")
-	sink := func(cp sim.Checkpoint) error {
-		b, err := cp.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		payload := append(binary.BigEndian.AppendUint64(nil, identity), b...)
-		return checkpoint.WriteSnapshot(path, checkpoint.FormatVersion, checkpoint.KindSimRun, payload)
-	}
-
-	var res *sim.Result
-	kind, payload, err := checkpoint.ReadSnapshot(path, checkpoint.FormatVersion)
-	switch {
-	case errors.Is(err, os.ErrNotExist):
-		res, err = s.RunCheckpointedCtx(context.Background(), every, sink)
-	case err != nil:
-		return nil, err
-	default:
-		if kind != checkpoint.KindSimRun || len(payload) != 32 {
-			return nil, fmt.Errorf("%s: not a vodsim run checkpoint", path)
-		}
-		if got := binary.BigEndian.Uint64(payload); got != identity {
-			return nil, fmt.Errorf("%s: %w: checkpoint was written by a different run configuration", path, checkpoint.ErrIdentity)
-		}
-		var cp sim.Checkpoint
-		if err := cp.UnmarshalBinary(payload[8:]); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "vodsim: resuming from checkpoint at t=%.2f (%d events) in %s\n", cp.Now, cp.Fired, dir)
-		res, err = s.ResumeCheckpointedCtx(context.Background(), cp, every, sink)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := os.Remove(path); err != nil && !errors.Is(err, os.ErrNotExist) {
-		fmt.Fprintln(os.Stderr, "vodsim: drop finished checkpoint:", err)
-	}
-	return res, nil
+	ctx := context.Background()
+	return sim.RunSnapshotted(filepath.Join(dir, "sim.ckpt"), checkpoint.KindSimRun,
+		checkpoint.Identity("vodsim.run", cfg),
+		func(sink func(sim.Checkpoint) error) (*sim.Result, error) {
+			return s.RunCheckpointedCtx(ctx, every, sink)
+		},
+		func(cp sim.Checkpoint, sink func(sim.Checkpoint) error) (*sim.Result, error) {
+			fmt.Fprintf(os.Stderr, "vodsim: resuming from checkpoint at t=%.2f (%d events) in %s\n", cp.Now, cp.Fired, dir)
+			return s.ResumeCheckpointedCtx(ctx, cp, every, sink)
+		})
 }
 
 // printModelComparison prints the analytic prediction next to a measured

@@ -24,6 +24,9 @@
 // violation yields a typed error (ErrBadMagic, ErrTruncated,
 // ErrChecksum, ErrVersionSkew, ErrTornTail), fuzz-verified by
 // FuzzCheckpointDecode.
+//
+// Every resumable run is keyed by Identity, a hash of its whole
+// configuration, and every resumable sweep runs through Map.
 package checkpoint
 
 import (
@@ -48,11 +51,13 @@ var (
 	// ErrVersionSkew reports an artifact written by an incompatible
 	// format version.
 	ErrVersionSkew = errors.New("checkpoint: version skew")
-	// ErrKind reports an artifact of the wrong payload kind (e.g. an
-	// evaluator cache offered where a simulation snapshot is expected).
+	// ErrKind reports an artifact of the wrong payload kind or shape
+	// (e.g. an evaluator cache offered where a simulation snapshot is
+	// expected).
 	ErrKind = errors.New("checkpoint: wrong payload kind")
-	// ErrIdentity reports a journal whose recorded sweep identity does
-	// not match the resuming sweep's parameters.
+	// ErrIdentity reports a journal or replay snapshot whose recorded
+	// identity does not match the resuming run's parameters — another
+	// configuration, or a build that hashed configurations differently.
 	ErrIdentity = errors.New("checkpoint: sweep identity mismatch")
 	// ErrTornTail reports trailing bytes after the last complete journal
 	// record — the signature of a crash mid-append. The records before
@@ -137,19 +142,6 @@ func DecodeSnapshot(data []byte, wantVersion uint16) (kind uint16, payload []byt
 		return 0, nil, fmt.Errorf("%w: crc %08x, want %08x", ErrChecksum, got, want)
 	}
 	return kind, data[snapHeaderLen : snapHeaderLen+n : snapHeaderLen+n], nil
-}
-
-// Identity fingerprints a sweep's parameters into the 64-bit identity
-// stored in journal headers, so resuming with different parameters (or
-// against another sweep's directory) fails loudly instead of merging
-// incompatible work. Parts are rendered with %+v, which is stable for
-// the value-typed configs used across the repository.
-func Identity(parts ...any) uint64 {
-	h := fnv.New64a()
-	for _, p := range parts {
-		fmt.Fprintf(h, "%+v\x1f", p)
-	}
-	return h.Sum64()
 }
 
 // Digest is the FNV-1a hash of a record payload, stored alongside each

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 )
 
@@ -193,66 +192,5 @@ func TestJournalRefusesCorruptionAndSkew(t *testing.T) {
 	// Version skew.
 	if _, _, err := OpenJournal(path, FormatVersion+1, KindSweep, id); !errors.Is(err, ErrVersionSkew) {
 		t.Fatalf("version skew: %v", err)
-	}
-}
-
-func TestSweepMarkLookupResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "sweep.wal")
-	id := Identity("fig7", true, int64(1))
-	s, err := OpenSweep(path, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Done() != 0 {
-		t.Fatalf("fresh sweep has %d done items", s.Done())
-	}
-	// Concurrent marks, as sweep workers produce them.
-	var wg sync.WaitGroup
-	for i := 0; i < 16; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if err := s.Mark(i, []byte{byte(i), byte(i * 3)}); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	s.Close()
-
-	s, err = OpenSweep(path, id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Done() != 16 {
-		t.Fatalf("resumed sweep has %d done items, want 16", s.Done())
-	}
-	for i := 0; i < 16; i++ {
-		p, ok := s.Lookup(i)
-		if !ok || !bytes.Equal(p, []byte{byte(i), byte(i * 3)}) {
-			t.Fatalf("item %d: %q, %t", i, p, ok)
-		}
-	}
-	if _, ok := s.Lookup(99); ok {
-		t.Fatal("phantom item 99")
-	}
-	if _, err := OpenSweep(path, Identity("fig7", true, int64(2))); !errors.Is(err, ErrIdentity) {
-		t.Fatalf("changed parameters must refuse the journal: %v", err)
-	}
-}
-
-func TestIdentityStability(t *testing.T) {
-	a := Identity("name", 1, 2.5, struct{ X int }{7})
-	b := Identity("name", 1, 2.5, struct{ X int }{7})
-	if a != b {
-		t.Fatal("identity is not deterministic")
-	}
-	if a == Identity("name", 1, 2.5, struct{ X int }{8}) {
-		t.Fatal("identity ignores parameters")
-	}
-	// Concatenation must not collide: ("ab", "c") vs ("a", "bc").
-	if Identity("ab", "c") == Identity("a", "bc") {
-		t.Fatal("identity concatenation collision")
 	}
 }

@@ -1,84 +1,90 @@
 package checkpoint
 
 import (
+	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
+	"sync/atomic"
+
+	"vodalloc/internal/parallel"
 )
 
-// Sweep is a work-item journal for an index-addressed sweep: each
-// completed item's index, result digest and encoded result are appended
-// as one durable record, and a resumed sweep looks completed items up
-// instead of recomputing them. Safe for concurrent use by sweep
-// workers.
-type Sweep struct {
-	j    *Journal
-	done map[int][]byte
+// Resumed reports what a journaled sweep restored from its journal.
+type Resumed struct {
+	// Items counts results restored instead of recomputed.
+	Items int
+	// TornBytes is the size of the torn journal tail truncated at open
+	// (non-zero exactly when the previous run died mid-append).
+	TornBytes int64
 }
 
-// OpenSweep opens (or creates) the sweep journal at path and replays
-// the completed items of an earlier run. identity must fingerprint
-// every parameter that shapes the sweep's items (see Identity); a
-// journal written under a different identity is refused, so stale
-// results from another configuration can never leak into a resumed
-// sweep.
-func OpenSweep(path string, identity uint64) (*Sweep, error) {
-	j, records, err := OpenJournal(path, FormatVersion, KindSweep, identity)
-	if err != nil {
-		return nil, err
+// Map is parallel.Map over a sweep journal at path, the one way a sweep
+// survives a crash: each computed item's result is durably journaled as
+// JSON before the sweep moves on, and a rerun restores journaled items
+// instead of recomputing them. Go's shortest float encoding round-trips
+// float64 exactly and Map is order-preserving, so with a deterministic
+// fn a resumed sweep returns results identical to an uninterrupted one
+// at any worker count, whatever mix of restored and recomputed items it
+// ran. An item whose payload no longer decodes (the result type changed
+// shape) is recomputed; an item that cannot be journaled fails the
+// sweep, since a sweep that cannot journal must not pretend to be
+// resumable.
+//
+// identity holds the parts Identity hashes into the journal's key; they
+// must cover everything that shapes the items, and a journal written
+// under another identity is refused with ErrIdentity. With an empty
+// path Map is plain parallel.Map and hashes nothing.
+func Map[T any](ctx context.Context, o parallel.Opts, path string, identity []any, n int,
+	fn func(ctx context.Context, i int) (T, error),
+) ([]T, Resumed, error) {
+	if path == "" {
+		out, err := parallel.Map(ctx, o, n, fn)
+		return out, Resumed{}, err
 	}
-	s := &Sweep{j: j, done: make(map[int][]byte, len(records))}
+	j, records, err := OpenJournal(path, FormatVersion, KindSweep, Identity(identity...))
+	if err != nil {
+		return nil, Resumed{}, err
+	}
+	defer j.Close()
+	// Later records win: an item journaled twice (a resume that raced a
+	// crash) is harmless because results are deterministic. The map is
+	// only read once the workers start.
+	done := make(map[int][]byte, len(records))
 	for _, rec := range records {
 		idx, payload, err := decodeItem(rec)
 		if err != nil {
-			j.Close()
-			return nil, fmt.Errorf("%s: %w", path, err)
+			return nil, Resumed{}, fmt.Errorf("%s: %w", path, err)
 		}
-		// Later records win: an item journaled twice (a resume that raced
-		// a crash) is harmless because results are deterministic.
-		s.done[idx] = payload
+		done[idx] = payload
 	}
-	return s, nil
+	var restored atomic.Int64
+	out, err := parallel.Map(ctx, o, n, func(ctx context.Context, i int) (T, error) {
+		var v T
+		if b, ok := done[i]; ok && json.Unmarshal(b, &v) == nil {
+			restored.Add(1)
+			return v, nil
+		}
+		v, err := fn(ctx, i)
+		if err != nil {
+			return v, err
+		}
+		b, err := json.Marshal(v)
+		if err == nil {
+			err = j.Append(encodeItem(i, b))
+		}
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("journal item %d: %w", i, err)
+		}
+		return v, nil
+	})
+	return out, Resumed{Items: int(restored.Load()), TornBytes: j.TornBytes()}, err
 }
-
-// Lookup returns the journaled result of item i, if any. The returned
-// bytes must not be mutated.
-func (s *Sweep) Lookup(i int) ([]byte, bool) {
-	// done is only written during OpenSweep and by Mark; Mark only adds
-	// entries for items no worker will look up again (each index is
-	// processed once per run), so concurrent Lookup/Mark of distinct
-	// indices is the only overlap and needs the journal's lock.
-	s.j.mu.Lock()
-	defer s.j.mu.Unlock()
-	p, ok := s.done[i]
-	return p, ok
-}
-
-// Done reports how many items the journal already holds.
-func (s *Sweep) Done() int {
-	s.j.mu.Lock()
-	defer s.j.mu.Unlock()
-	return len(s.done)
-}
-
-// TornBytes reports the torn tail truncated at open (0 when clean).
-func (s *Sweep) TornBytes() int64 { return s.j.TornBytes() }
-
-// Mark durably records item i's result. It returns once the record is
-// synced, so a SIGKILL immediately after never loses the item.
-func (s *Sweep) Mark(i int, payload []byte) error {
-	if err := s.j.Append(encodeItem(i, payload)); err != nil {
-		return err
-	}
-	s.j.mu.Lock()
-	s.done[i] = payload
-	s.j.mu.Unlock()
-	return nil
-}
-
-// Close closes the journal file.
-func (s *Sweep) Close() error { return s.j.Close() }
 
 // Item record layout: uvarint index | 8-byte digest | result payload.
+// The digest guards the decoded content end to end (the journal's CRC
+// guards the framing).
 func encodeItem(i int, payload []byte) []byte {
 	buf := make([]byte, 0, binary.MaxVarintLen64+8+len(payload))
 	buf = binary.AppendUvarint(buf, uint64(i))

@@ -156,71 +156,10 @@ func (c ChurnConfig) Validate() error {
 	return nil
 }
 
-// Identity fingerprints everything that shapes the run, for keying the
-// resume snapshot: a checkpoint taken under one configuration refuses
-// to restore under another.
-func (c ChurnConfig) Identity() uint64 {
-	w := c.Workload
-	parts := []any{"cluster.churn", c.Horizon, c.Warmup, c.Seed, c.ControllerOff,
-		c.window(), w.BaseRate, w.EpochLength()}
-	cc := c.Controller.withDefaults()
-	parts = append(parts, cc.Interval, cc.BudgetBytes, cc.MaxConcurrent,
-		cc.MigrationRate, cc.BytesPerMinute, cc.TargetUtil, cc.DropUtil,
-		cc.DegradeAt, cc.RestoreAt, cc.RestoreTicks, cc.Cooldown, cc.Alpha, cc.AlphaSlow)
-	// Evacuation is opt-in; the part is appended only when armed so every
-	// pre-evacuation snapshot identity is unchanged.
-	if cc.EvacuateDwell > 0 {
-		parts = append(parts, "evacuate", cc.EvacuateDwell)
-	}
-	if w.Diurnal != nil {
-		parts = append(parts, *w.Diurnal)
-	}
-	if w.Drift != nil {
-		parts = append(parts, *w.Drift)
-	}
-	for _, f := range w.Flashes {
-		parts = append(parts, f)
-	}
-	for _, n := range c.Placement.Nodes {
-		parts = append(parts, n.identityPart())
-	}
-	for _, a := range c.Placement.Assignments {
-		parts = append(parts, a.Movie, a.Node, a.Replica, a.N, a.B)
-	}
-	for _, m := range w.Movies {
-		parts = append(parts, m.Name, m.Length, m.Wait, m.Popularity)
-	}
-	for _, f := range c.Faults {
-		parts = append(parts, f)
-	}
-	// Gray parts are appended only on gray runs so every pre-gray
-	// snapshot identity is unchanged.
-	if c.grayActive() {
-		parts = append(parts, "gray", int(c.Policy), c.starveWait())
-		hc := c.Health.withDefaults()
-		parts = append(parts, hc.Alpha, hc.Window, hc.Quantile,
-			hc.SuspectBelow, hc.QuarantineBelow, hc.RestoreAbove,
-			hc.SuspectAfter, hc.QuarantineAfter, hc.RestoreTicks,
-			hc.ProbationAfter, hc.ProbeEvery, hc.ProbeOK,
-			hc.HedgeQuantile, hc.HedgeMin, hc.HedgeWarm)
-		// The hedge budget and disk-granular health are opt-in; their
-		// parts appear only when engaged, so gray snapshots from before
-		// these knobs existed keep their identities.
-		if hc.HedgeBudget > 0 {
-			parts = append(parts, "hedgebudget", hc.HedgeBudget, hc.HedgeRefill)
-		}
-		if hc.DiskHealth {
-			parts = append(parts, "diskhealth")
-		}
-		for _, g := range c.Gray {
-			parts = append(parts, int(g.Kind), g.Node, g.At, g.Until, g.Factor)
-			if g.Disk != 0 {
-				parts = append(parts, "disk", g.Disk)
-			}
-		}
-	}
-	return checkpoint.Identity(parts...)
-}
+// Identity keys the resume snapshot to the whole configuration: a
+// checkpoint taken under one configuration refuses to restore under
+// another.
+func (c ChurnConfig) Identity() uint64 { return checkpoint.Identity("cluster.churn", c) }
 
 // ChurnWindow is one post-warmup measurement window.
 type ChurnWindow struct {

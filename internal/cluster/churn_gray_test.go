@@ -148,8 +148,10 @@ func TestChurnNonGrayUnchanged(t *testing.T) {
 
 // TestChurnGrayIdentity pins snapshot keying: gray parameters fold
 // into the config identity (a checkpoint under one policy or fault
-// timeline refuses to restore under another), while a config with no
-// gray machinery keeps the identity it had before gray existed.
+// timeline refuses to restore under another), and so do gray fields
+// that are inert on a run with no gray machinery — the identity hashes
+// the whole config, so a changed field is a refusal, never a silent
+// accept.
 func TestChurnGrayIdentity(t *testing.T) {
 	base := grayScenario(t, PolicyHedge)
 	if base.Identity() == grayScenario(t, PolicyHealth).Identity() {
@@ -174,9 +176,14 @@ func TestChurnGrayIdentity(t *testing.T) {
 	tweaked := grayScenario(t, PolicyBlind)
 	tweaked.Gray = nil
 	tweaked.Health.Window = 128 // inert without gray machinery
+	if plain.Identity() == tweaked.Identity() {
+		t.Error("identity ignores an inert Health.Window")
+	}
+	tweaked = grayScenario(t, PolicyBlind)
+	tweaked.Gray = nil
 	tweaked.StarveWait = 3
-	if plain.Identity() != tweaked.Identity() {
-		t.Error("inert gray fields perturb a non-gray identity")
+	if plain.Identity() == tweaked.Identity() {
+		t.Error("identity ignores an inert StarveWait")
 	}
 }
 

@@ -62,24 +62,6 @@ func (n NodeSpec) disks() int {
 	return n.Disks
 }
 
-// nodeIdentV0 is NodeSpec's pre-disk field set, used for snapshot
-// identities: a node with the default single disk renders exactly as it
-// did before the Disks field existed, so old checkpoint identities are
-// preserved.
-type nodeIdentV0 struct {
-	ID         string
-	MaxStreams int
-	MaxBuffer  float64
-}
-
-// identityPart is the node's contribution to a snapshot identity.
-func (n NodeSpec) identityPart() any {
-	if n.disks() <= 1 {
-		return nodeIdentV0{n.ID, n.MaxStreams, n.MaxBuffer}
-	}
-	return n
-}
-
 // Validate checks the node's fields.
 func (n NodeSpec) Validate() error {
 	switch {

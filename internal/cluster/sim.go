@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -252,17 +251,6 @@ func (r *Result) Summary() string {
 	return b.String()
 }
 
-// ResumeInfo reports what a resumed simulation restored from its
-// journal.
-type ResumeInfo struct {
-	// Restored counts per-node rows replayed from the journal instead
-	// of re-simulated.
-	Restored int
-	// TornBytes is the size of the torn journal tail discarded on open
-	// (0 for a clean journal).
-	TornBytes int64
-}
-
 // nodeRow is the journaled per-node digest: everything the merge needs,
 // in JSON-stable scalar form (metrics.Proportion itself has unexported
 // fields and cannot round-trip).
@@ -287,75 +275,32 @@ type nodeMovieRow struct {
 // are merged into cluster-level hit probability, availability, shed
 // rate and rebalance counts.
 func Simulate(ctx context.Context, cfg SimConfig) (*Result, error) {
-	res, _, err := simulate(ctx, cfg, nil)
+	res, _, err := SimulateResumable(ctx, cfg, "")
 	return res, err
 }
 
-// SimulateResumable is Simulate journaling each node's digest to a WAL
-// at path via internal/checkpoint: a rerun after a crash replays the
-// journaled nodes and simulates only the missing ones, with identical
-// results. The journal is keyed to the full configuration and refuses
-// a mismatched one.
-func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result, *ResumeInfo, error) {
+// SimulateResumable is Simulate journaling each node's row to a sweep
+// journal at path (see checkpoint.Map): a rerun after a crash restores
+// the journaled nodes and simulates only the missing ones, with
+// identical results. The journal is keyed to the whole configuration
+// and refuses a mismatched one. An empty path journals nothing.
+func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result, checkpoint.Resumed, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	sweep, err := checkpoint.OpenSweep(path, cfg.identity())
-	if err != nil {
-		return nil, nil, fmt.Errorf("open cluster resume journal: %w", err)
-	}
-	defer sweep.Close()
-	info := &ResumeInfo{Restored: sweep.Done(), TornBytes: sweep.TornBytes()}
-	res, _, err := simulate(ctx, cfg, sweep)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, info, nil
-}
-
-// identity fingerprints the configuration fields that shape per-node
-// results, for journal keying. Profiles are identified through the
-// catalog's names/lengths/waits plus the placement itself, not by
-// formatting distribution values.
-func (c SimConfig) identity() uint64 {
-	parts := []any{"cluster.simulate", c.TotalRate, c.Horizon, c.Warmup, c.Seed, c.spd(), c.Rates}
-	for _, n := range c.Placement.Nodes {
-		parts = append(parts, n.identityPart())
-	}
-	for _, a := range c.Placement.Assignments {
-		parts = append(parts, a.Movie, a.Node, a.Replica, a.N, a.B)
-	}
-	for _, m := range c.Movies {
-		parts = append(parts, m.Name, m.Length, m.Wait, m.Popularity)
-	}
-	for _, f := range c.Faults {
-		parts = append(parts, f)
-	}
-	// Engine parts only when set, so journals from before the fluid
-	// backend keep their identity under the default DES engine.
-	if c.Engine != "" || c.FluidThreshold != 0 || c.ParticleRate != 0 {
-		parts = append(parts, "engine", string(c.Engine), c.FluidThreshold, c.ParticleRate)
-	}
-	return checkpoint.Identity(parts...)
-}
-
-func simulate(ctx context.Context, cfg SimConfig, sweep *checkpoint.Sweep) (*Result, *ResumeInfo, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, checkpoint.Resumed{}, err
 	}
 	p := cfg.Placement
 	movieRates, err := workload.SplitRate(cfg.TotalRate, cfg.Movies)
 	if err != nil {
-		return nil, nil, err
+		return nil, checkpoint.Resumed{}, err
 	}
 	flows, rebalances, err := routeDemand(cfg, movieRates)
 	if err != nil {
-		return nil, nil, err
+		return nil, checkpoint.Resumed{}, err
 	}
 
-	rows, err := simulateNodes(ctx, cfg, movieRates, sweep)
+	rows, info, err := simulateNodes(ctx, cfg, movieRates, path)
 	if err != nil {
-		return nil, nil, err
+		return nil, info, err
 	}
 
 	// Merge per-node digests and routing flows.
@@ -425,7 +370,7 @@ func simulate(ctx context.Context, cfg SimConfig, sweep *checkpoint.Sweep) (*Res
 	} else {
 		res.Availability = 1
 	}
-	return res, nil, nil
+	return res, info, nil
 }
 
 // movieFlow is one movie's post-warmup routing tallies.
@@ -507,9 +452,9 @@ func routeDemand(cfg SimConfig, movieRates []float64) ([]movieFlow, uint64, erro
 }
 
 // simulateNodes runs one internal/sim server per node concurrently,
-// journaling digests through sweep when resumable. A node with no
-// placed movies yields an empty, fully-available row.
-func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, sweep *checkpoint.Sweep) ([]nodeRow, error) {
+// journaling rows at path when it is non-empty. A node with no placed
+// movies yields an empty, fully-available row.
+func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, path string) ([]nodeRow, checkpoint.Resumed, error) {
 	p := cfg.Placement
 	catalog := make(map[string]workload.Movie, len(cfg.Movies))
 	rate := make(map[string]float64, len(cfg.Movies))
@@ -607,32 +552,14 @@ func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, swe
 		return row, nil
 	}
 
-	opts := parallel.Opts{Workers: cfg.Workers}
-	var rows []nodeRow
-	var err error
-	if sweep == nil {
-		rows, err = parallel.Map(ctx, opts, len(p.Nodes), fn)
-	} else {
-		rows, err = parallel.MapResume(ctx, opts, len(p.Nodes),
-			func(i int) (nodeRow, bool) {
-				var v nodeRow
-				b, ok := sweep.Lookup(i)
-				if !ok {
-					return v, false
-				}
-				return v, json.Unmarshal(b, &v) == nil
-			},
-			func(i int, v nodeRow) error {
-				b, err := json.Marshal(v)
-				if err != nil {
-					return err
-				}
-				return sweep.Mark(i, b)
-			},
-			fn)
-	}
-	if err != nil {
-		return nil, parallel.Cause(err)
-	}
-	return rows, nil
+	rows, info, err := checkpoint.Map(ctx, parallel.Opts{Workers: cfg.Workers}, path, cfg.identity(), len(p.Nodes), fn)
+	return rows, info, parallel.Cause(err)
+}
+
+// identity is the node-row journal's identity parts: the whole
+// configuration, with Workers zeroed because results are identical at
+// any worker count.
+func (c SimConfig) identity() []any {
+	c.Workers = 0
+	return []any{"cluster.simulate", c}
 }

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"vodalloc/internal/checkpoint"
 	"vodalloc/internal/dist"
 	"vodalloc/internal/sim"
 	"vodalloc/internal/sizing"
@@ -223,15 +224,15 @@ func TestClusterSimulateResumable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("first run: %v", err)
 	}
-	if info1.Restored != 0 {
-		t.Fatalf("fresh journal restored %d rows", info1.Restored)
+	if info1.Items != 0 {
+		t.Fatalf("fresh journal restored %d rows", info1.Items)
 	}
 	r2, info2, err := SimulateResumable(context.Background(), cfg, path)
 	if err != nil {
 		t.Fatalf("second run: %v", err)
 	}
-	if info2.Restored != len(cfg.Placement.Nodes) {
-		t.Errorf("restored %d rows, want %d", info2.Restored, len(cfg.Placement.Nodes))
+	if info2.Items != len(cfg.Placement.Nodes) {
+		t.Errorf("restored %d rows, want %d", info2.Items, len(cfg.Placement.Nodes))
 	}
 	if info2.TornBytes != 0 {
 		t.Errorf("clean journal reported torn tail %d", info2.TornBytes)
@@ -243,6 +244,42 @@ func TestClusterSimulateResumable(t *testing.T) {
 	cfg.Seed = 14
 	if _, _, err := SimulateResumable(context.Background(), cfg, path); err == nil {
 		t.Fatalf("mismatched config accepted the old journal")
+	}
+}
+
+// TestClusterResumeRefusesDriftedCatalog: a journal written for one
+// catalog must refuse a rerun whose movies differ only in their VCR
+// profiles (think time exp:15 → exp:60, placement unchanged) instead of
+// restoring the old catalog's node rows.
+func TestClusterResumeRefusesDriftedCatalog(t *testing.T) {
+	cfg := SimConfig{
+		Placement: twoMoviePlacement(t),
+		Movies:    twoMovieCatalog(),
+		Rates:     testRates,
+		TotalRate: 1.0,
+		Horizon:   500,
+		Warmup:    50,
+		Seed:      13,
+	}
+	path := filepath.Join(t.TempDir(), "cluster.wal")
+	old, _, err := SimulateResumable(context.Background(), cfg, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted := cfg
+	drifted.Movies = twoMovieCatalog()
+	for i := range drifted.Movies {
+		drifted.Movies[i].Profile.Think = dist.MustExponential(60)
+	}
+	fresh, err := Simulate(context.Background(), drifted)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Hit == old.Hit {
+		t.Fatalf("think time does not move P(hit) (%.4f); the drift proves nothing", fresh.Hit)
+	}
+	if _, info, err := SimulateResumable(context.Background(), drifted, path); !errors.Is(err, checkpoint.ErrIdentity) {
+		t.Fatalf("drifted catalog: want checkpoint.ErrIdentity, got %v after restoring %d rows", err, info.Items)
 	}
 }
 

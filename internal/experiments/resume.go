@@ -2,51 +2,26 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"path/filepath"
 
 	"vodalloc/internal/checkpoint"
-	"vodalloc/internal/parallel"
 )
 
-// mapResumable is the experiments' sweep fan-out: parallel.Map when no
-// resume directory is configured, and parallel.MapResume over a
-// per-experiment work-item journal when one is. Results are journaled
-// as JSON — Go's shortest-representation float encoding round-trips
-// float64 exactly, so a restored item is bit-identical to a recomputed
-// one. The journal is keyed to the experiment name, item count and the
-// fidelity-shaping options; rerunning with different settings refuses
-// the stale journal instead of mixing grids.
+// mapResumable is the experiments' sweep fan-out: checkpoint.Map over a
+// per-experiment work-item journal when a resume directory is
+// configured, plain parallel.Map when none is. The journal is keyed to
+// the experiment name, the item count and the options that shape the
+// items (everything but Workers and ResumeDir); rerunning with
+// different settings refuses the stale journal instead of mixing grids.
 func mapResumable[T any](ctx context.Context, o Options, name string, n int,
 	fn func(ctx context.Context, i int) (T, error),
 ) ([]T, error) {
-	if o.ResumeDir == "" {
-		return parallel.Map(ctx, o.par(), n, fn)
+	var path string
+	if o.ResumeDir != "" {
+		path = filepath.Join(o.ResumeDir, name+".wal")
 	}
-	identity := checkpoint.Identity("experiments."+name, n, o.Quick, o.seed())
-	sweep, err := checkpoint.OpenSweep(filepath.Join(o.ResumeDir, name+".wal"), identity)
-	if err != nil {
-		return nil, fmt.Errorf("open %s resume journal: %w", name, err)
-	}
-	defer sweep.Close()
-	return parallel.MapResume(ctx, o.par(), n,
-		func(i int) (T, bool) {
-			var v T
-			b, ok := sweep.Lookup(i)
-			if !ok {
-				return v, false
-			}
-			// An undecodable payload behind a valid digest means the result
-			// type changed shape; recomputing the item is always safe.
-			return v, json.Unmarshal(b, &v) == nil
-		},
-		func(i int, v T) error {
-			b, err := json.Marshal(v)
-			if err != nil {
-				return err
-			}
-			return sweep.Mark(i, b)
-		},
-		fn)
+	key := o
+	key.Workers, key.ResumeDir = 0, ""
+	out, _, err := checkpoint.Map(ctx, o.par(), path, []any{"experiments." + name, n, key}, n, fn)
+	return out, err
 }

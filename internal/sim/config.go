@@ -160,48 +160,3 @@ func (c Config) streamsPerDisk() int {
 	}
 	return c.StreamsPerDisk
 }
-
-// configIdentityV0 mirrors the Config field set that predates the
-// engine selection, in declaration order, so IdentityString can render
-// the historical %+v layout for configurations that do not use the new
-// fields — keeping checkpoint journals written before the fluid
-// backend resumable.
-type configIdentityV0 struct {
-	L, B            float64
-	N               int
-	Delta           float64
-	Rates           vcr.Rates
-	ArrivalRate     float64
-	Profile         vcr.Profile
-	Horizon, Warmup float64
-	Seed            int64
-	Piggyback       bool
-	Slew            float64
-	MaxDedicated    int
-	StreamsPerDisk  int
-	Tracer          trace.Tracer
-	AbandonMean     float64
-	TotalStreams    int
-	Faults          faults.Schedule
-}
-
-// IdentityString renders the configuration for sweep-journal identity
-// checks. Zero-valued engine fields reproduce the pre-engine rendering
-// byte for byte; engine runs append a suffix, so a journal written by
-// one backend never resumes under another.
-func (c Config) IdentityString() string {
-	s := fmt.Sprintf("%+v", configIdentityV0{
-		L: c.L, B: c.B, N: c.N, Delta: c.Delta, Rates: c.Rates,
-		ArrivalRate: c.ArrivalRate, Profile: c.Profile,
-		Horizon: c.Horizon, Warmup: c.Warmup, Seed: c.Seed,
-		Piggyback: c.Piggyback, Slew: c.Slew,
-		MaxDedicated: c.MaxDedicated, StreamsPerDisk: c.StreamsPerDisk,
-		Tracer: c.Tracer, AbandonMean: c.AbandonMean,
-		TotalStreams: c.TotalStreams, Faults: c.Faults,
-	})
-	if c.Engine != "" || c.FluidThreshold != 0 || c.ParticleRate != 0 {
-		s += fmt.Sprintf(" engine{Engine:%s FluidThreshold:%v ParticleRate:%v}",
-			c.Engine, c.FluidThreshold, c.ParticleRate)
-	}
-	return s
-}

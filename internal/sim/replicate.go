@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 
+	"vodalloc/internal/checkpoint"
 	"vodalloc/internal/metrics"
 	"vodalloc/internal/parallel"
 )
@@ -48,51 +50,82 @@ func Replicate(cfg Config, runs int) (*Replication, error) {
 // done) and into each in-flight run (which stops within ctxCheckEvents
 // simulation events), so a canceled request frees its workers promptly.
 func ReplicateCtx(ctx context.Context, cfg Config, runs int) (*Replication, error) {
+	rep, _, err := replicate(ctx, cfg, runs, "")
+	return rep, err
+}
+
+// ReplicateResumableCtx is ReplicateCtx backed by a work-item journal
+// in dir: each completed replication is durably recorded before the
+// sweep moves on, and a rerun after a crash restores completed
+// replications from the journal instead of recomputing them. The merged
+// Replication is byte-identical to an uninterrupted ReplicateCtx run —
+// whatever point the previous process died at, and at any worker count.
+// The journal is keyed to (runs, cfg); resuming with a changed
+// configuration refuses the stale journal with checkpoint.ErrIdentity.
+func ReplicateResumableCtx(ctx context.Context, cfg Config, runs int, dir string) (*Replication, checkpoint.Resumed, error) {
+	return replicate(ctx, cfg, runs, filepath.Join(dir, "replications.wal"))
+}
+
+// runRecord is one replication's summary — exactly the fields the merge
+// consumes, and what a resumable sweep journals.
+type runRecord struct {
+	Successes, Trials                    uint64
+	Est, AvgDedicated, AvgBatch, MaxWait float64
+}
+
+// replicate runs the replications through checkpoint.Map, journaling
+// them at path when it is non-empty, and merges the records in index
+// order — one merge path for fresh and resumed sweeps, so resuming
+// cannot drift from running clean.
+func replicate(ctx context.Context, cfg Config, runs int, path string) (*Replication, checkpoint.Resumed, error) {
 	if runs < 1 {
-		return nil, fmt.Errorf("%w: replications %d", ErrBadConfig, runs)
+		return nil, checkpoint.Resumed{}, fmt.Errorf("%w: replications %d", ErrBadConfig, runs)
 	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return nil, checkpoint.Resumed{}, err
 	}
 	if cfg.Tracer != nil {
-		// A shared tracer would interleave events from concurrent runs.
-		return nil, fmt.Errorf("%w: tracing is per-run; replicate without a Tracer", ErrBadConfig)
+		// A shared tracer would interleave events from concurrent runs, and
+		// a restored replication would emit none.
+		return nil, checkpoint.Resumed{}, fmt.Errorf("%w: tracing is per-run; replicate without a Tracer", ErrBadConfig)
 	}
 
-	results, err := parallel.Map(ctx, parallel.Opts{}, runs,
-		func(ctx context.Context, i int) (*Result, error) {
+	recs, info, err := checkpoint.Map(ctx, parallel.Opts{}, path, []any{"sim.replicate", runs, cfg}, runs,
+		func(ctx context.Context, i int) (runRecord, error) {
 			c := cfg
 			c.Seed = cfg.Seed + int64(i)
 			s, err := New(c)
 			if err != nil {
-				return nil, err
+				return runRecord{}, err
 			}
 			res, err := s.RunCtx(ctx)
 			if err != nil {
-				return nil, err
+				return runRecord{}, err
 			}
 			// The Server dies here; hand its viewer slabs to the next run.
 			s.releaseScratch()
-			return res, nil
+			return runRecord{
+				Successes: res.Hits.Successes(), Trials: res.Hits.N(),
+				Est: res.HitProbability(), AvgDedicated: res.AvgDedicated,
+				AvgBatch: res.AvgBatch, MaxWait: res.MaxWait,
+			}, nil
 		})
 	if err != nil {
 		var pe *parallel.Error
 		if errors.As(err, &pe) {
-			return nil, fmt.Errorf("replication %d: %w", pe.Index, pe.Err)
+			return nil, info, fmt.Errorf("replication %d: %w", pe.Index, pe.Err)
 		}
-		return nil, err
+		return nil, info, err
 	}
 
 	rep := &Replication{PerRun: make([]float64, 0, runs)}
-	for i := 0; i < runs; i++ {
-		res := results[i]
-		rep.PooledHits.Merge(res.Hits)
-		est := res.HitProbability()
-		rep.PerRun = append(rep.PerRun, est)
-		rep.Runs.Add(est)
-		rep.AvgDedicated.Add(res.AvgDedicated)
-		rep.AvgBatch.Add(res.AvgBatch)
-		rep.MaxWait = math.Max(rep.MaxWait, res.MaxWait)
+	for _, r := range recs {
+		rep.PooledHits.Merge(metrics.NewProportion(r.Successes, r.Trials))
+		rep.PerRun = append(rep.PerRun, r.Est)
+		rep.Runs.Add(r.Est)
+		rep.AvgDedicated.Add(r.AvgDedicated)
+		rep.AvgBatch.Add(r.AvgBatch)
+		rep.MaxWait = math.Max(rep.MaxWait, r.MaxWait)
 	}
-	return rep, nil
+	return rep, info, nil
 }

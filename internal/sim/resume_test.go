@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vodalloc/internal/checkpoint"
+	"vodalloc/internal/dist"
 )
 
 func replicateConfig() Config {
@@ -28,7 +29,7 @@ func TestReplicateResumableMatchesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Resumed != 0 || info.TornBytes != 0 {
+	if info.Items != 0 || info.TornBytes != 0 {
 		t.Fatalf("fresh sweep reports resume state: %+v", info)
 	}
 	if !reflect.DeepEqual(rep, clean) {
@@ -59,8 +60,8 @@ func TestReplicateResumableRecoversPartialSweep(t *testing.T) {
 	if !reflect.DeepEqual(full, clean) {
 		t.Fatal("first pass diverged from clean run")
 	}
-	if info.Resumed != 0 {
-		t.Fatalf("first pass resumed %d items", info.Resumed)
+	if info.Items != 0 {
+		t.Fatalf("first pass resumed %d items", info.Items)
 	}
 
 	// Second pass over the completed journal: everything restores, and
@@ -69,8 +70,8 @@ func TestReplicateResumableRecoversPartialSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Resumed != runs {
-		t.Fatalf("second pass resumed %d of %d", info.Resumed, runs)
+	if info.Items != runs {
+		t.Fatalf("second pass resumed %d of %d", info.Items, runs)
 	}
 	if !reflect.DeepEqual(again, clean) {
 		t.Fatal("fully-restored sweep diverged from clean run")
@@ -92,5 +93,32 @@ func TestReplicateResumableRefusesStaleJournal(t *testing.T) {
 	}
 	if _, _, err := ReplicateResumableCtx(context.Background(), cfg, 4, dir); !errors.Is(err, checkpoint.ErrIdentity) {
 		t.Fatalf("changed run count: want ErrIdentity, got %v", err)
+	}
+}
+
+// TestReplicateResumableKeysOnValues: the journal key hashes
+// configuration values, never addresses — two equal configs built
+// separately, each with a pointer-valued duration distribution, share a
+// journal — and it tells distribution families apart: exp:15 and det:15
+// think times refuse each other's journal.
+func TestReplicateResumableKeysOnValues(t *testing.T) {
+	build := func(think dist.Distribution) Config {
+		c := replicateConfig()
+		c.Profile.DurFF = dist.MustTruncated(dist.MustExponential(5), 0, 30)
+		c.Profile.Think = think
+		return c
+	}
+	ctx := context.Background()
+	const runs = 2
+	dir := t.TempDir()
+	if _, _, err := ReplicateResumableCtx(ctx, build(dist.MustExponential(15)), runs, dir); err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := ReplicateResumableCtx(ctx, build(dist.MustExponential(15)), runs, dir)
+	if err != nil || info.Items != runs {
+		t.Fatalf("an equal config built separately: %v, restored %d of %d", err, info.Items, runs)
+	}
+	if _, _, err := ReplicateResumableCtx(ctx, build(dist.MustDeterministic(15)), runs, dir); !errors.Is(err, checkpoint.ErrIdentity) {
+		t.Fatalf("det:15 think time resumed an exp:15 journal: %v", err)
 	}
 }

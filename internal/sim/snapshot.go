@@ -7,7 +7,9 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"os"
 
+	"vodalloc/internal/checkpoint"
 	"vodalloc/internal/des"
 )
 
@@ -49,6 +51,52 @@ func (c *Checkpoint) UnmarshalBinary(data []byte) error {
 	c.Now = math.Float64frombits(binary.BigEndian.Uint64(data[8:]))
 	c.Digest = binary.BigEndian.Uint64(data[16:])
 	return nil
+}
+
+// RunSnapshotted runs a replay-checkpointed job whose checkpoints live
+// in the snapshot file at path, so a killed run continues from its last
+// checkpoint: without a snapshot it calls start, otherwise resume from
+// the stored checkpoint; either hands each new checkpoint to sink, which
+// replaces the file. The payload is identity (see checkpoint.Identity)
+// followed by the 24-byte checkpoint. A snapshot of another kind or
+// length is refused with checkpoint.ErrKind and one written under
+// another identity with checkpoint.ErrIdentity, both before any replay.
+// A finished run removes the file.
+func RunSnapshotted[R any](path string, kind uint16, identity uint64,
+	start func(sink func(Checkpoint) error) (R, error),
+	resume func(from Checkpoint, sink func(Checkpoint) error) (R, error),
+) (R, error) {
+	sink := func(cp Checkpoint) error {
+		b, _ := cp.MarshalBinary() // cannot fail
+		payload := append(binary.BigEndian.AppendUint64(nil, identity), b...)
+		return checkpoint.WriteSnapshot(path, checkpoint.FormatVersion, kind, payload)
+	}
+	var res R
+	gotKind, payload, err := checkpoint.ReadSnapshot(path, checkpoint.FormatVersion)
+	switch {
+	case errors.Is(err, os.ErrNotExist):
+		res, err = start(sink)
+	case err != nil:
+		return res, err
+	case gotKind != kind || len(payload) != 8+checkpointWireLen:
+		return res, fmt.Errorf("%s: %w: kind %d with %d payload bytes, want kind %d with %d",
+			path, checkpoint.ErrKind, gotKind, len(payload), kind, 8+checkpointWireLen)
+	case binary.BigEndian.Uint64(payload) != identity:
+		return res, fmt.Errorf("%s: %w: the checkpoint was written by a different configuration or build",
+			path, checkpoint.ErrIdentity)
+	default:
+		var cp Checkpoint
+		_ = cp.UnmarshalBinary(payload[8:]) // cannot fail: the length is checked above
+		res, err = resume(cp, sink)
+	}
+	if err != nil {
+		return res, err
+	}
+	// A failed removal is harmless: the next run with this identity
+	// replays to the leftover checkpoint, verifies it and finishes with
+	// the same result.
+	_ = os.Remove(path)
+	return res, nil
 }
 
 // ErrCheckpointMismatch reports a resume whose replayed state does not
@@ -134,13 +182,9 @@ func (s *Server) digest() uint64 {
 		u64(uint64(len(mv.waitq)))
 		u64(uint64(len(mv.viewers)))
 	}
-	// Fluid backend state, folded only when fluid movies exist so
-	// DES-only digests stay byte-identical to their pre-engine values.
-	if len(s.fluids) > 0 {
-		f64(s.fluidDedTW.Value())
-		for _, fm := range s.fluids {
-			fm.Digest(u64, f64)
-		}
+	f64(s.fluidDedTW.Value())
+	for _, fm := range s.fluids {
+		fm.Digest(u64, f64)
 	}
 	return h.Sum64()
 }

@@ -3,8 +3,12 @@ package sim
 import (
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
+
+	"vodalloc/internal/checkpoint"
 )
 
 // snapshotConfig is deliberately tiny — a short horizon with a busy
@@ -108,6 +112,61 @@ func TestCheckpointSinkErrorStopsRun(t *testing.T) {
 	}
 	if calls != 3 {
 		t.Fatalf("sink called %d times after error, want exactly 3", calls)
+	}
+}
+
+// TestRunSnapshotted drives the replay-snapshot file: a run killed
+// after its third checkpoint leaves the snapshot behind, a snapshot of
+// another kind or identity is refused before any replay, and a rerun
+// resumes to the uninterrupted result and removes the file.
+func TestRunSnapshotted(t *testing.T) {
+	ctx := context.Background()
+	cfg := snapshotConfig()
+	clean, err := mustSim(t, cfg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "sim.ckpt")
+	const identity = 42
+	killed := errors.New("killed")
+	_, err = RunSnapshotted(path, checkpoint.KindSimRun, identity,
+		func(sink func(Checkpoint) error) (*Result, error) {
+			n := 0
+			return mustSim(t, cfg).RunCheckpointedCtx(ctx, 20, func(cp Checkpoint) error {
+				if err := sink(cp); err != nil {
+					return err
+				}
+				if n++; n == 3 {
+					return killed
+				}
+				return nil
+			})
+		}, nil)
+	if !errors.Is(err, killed) {
+		t.Fatalf("want the kill, got %v", err)
+	}
+
+	if _, err := RunSnapshotted[*Result](path, checkpoint.KindChurnRun, identity, nil, nil); !errors.Is(err, checkpoint.ErrKind) {
+		t.Fatalf("wrong kind: want checkpoint.ErrKind, got %v", err)
+	}
+	if _, err := RunSnapshotted[*Result](path, checkpoint.KindSimRun, identity+1, nil, nil); !errors.Is(err, checkpoint.ErrIdentity) {
+		t.Fatalf("wrong identity: want checkpoint.ErrIdentity, got %v", err)
+	}
+
+	var from Checkpoint
+	res, err := RunSnapshotted(path, checkpoint.KindSimRun, identity, nil,
+		func(cp Checkpoint, sink func(Checkpoint) error) (*Result, error) {
+			from = cp
+			return mustSim(t, cfg).ResumeCheckpointedCtx(ctx, cp, 20, sink)
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if from.Fired != 60 || !reflect.DeepEqual(res, clean) {
+		t.Fatalf("resumed from event %d to a result equal to the clean run: %t", from.Fired, reflect.DeepEqual(res, clean))
+	}
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a finished run left its snapshot: %v", err)
 	}
 }
 

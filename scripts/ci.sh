@@ -1,12 +1,16 @@
 #!/bin/sh
-# Tier-1 verification: a gofmt check, vet, build, tests, a shuffled race pass, a
+# Tier-1 verification: a gofmt check, vet (of the module and of the
+# separate bench/ module, whose vodperf program calls dozens of internal
+# names), build, tests, a shuffled race pass, a
 # pinned-staticcheck stage (skipped gracefully offline), and a
 # benchmark smoke pass (one iteration each, so broken benchmarks fail CI
 # without paying for measurement). The race pass covers the parallel
 # sweep engine (internal/parallel) and every fan-out built on it.
 # A crash-resume smoke SIGKILLs checkpointed runs mid-flight and
 # requires the resumed output to be byte-identical (scripts/killresume.sh),
-# after a pass over the checkpoint decoder's fuzz corpus. A cluster
+# after a pass over the checkpoint decoder's fuzz corpus; a
+# resume-refusal smoke then requires a cluster journal to refuse a rerun
+# whose catalog drifted (think times only). A cluster
 # smoke plans Example 1 onto three nodes and runs a short failover
 # simulation; a churn smoke drives a flash crowd through the live
 # rebalancing controller; a gray smoke drives a slow disk and a
@@ -31,6 +35,10 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 go vet ./...
+# The bench module is separate (bench/go.mod replaces vodalloc with this
+# checkout); vetting it compiles vodperf against the current internal
+# API and writes nothing.
+(cd bench && go vet ./...)
 go build ./...
 go test ./...
 # Shuffled race pass: -shuffle=on randomizes test order so ordering
@@ -56,6 +64,28 @@ fi
 # --- checkpoint fuzz corpus + crash-resume smoke ---
 go test -run='^FuzzCheckpointDecode$' ./internal/checkpoint
 scripts/killresume.sh
+
+# --- resume-refusal smoke: a node-row journal written for catalog a.json
+# must refuse a rerun on b.json, which differs only in think time —
+# never restore a.json's rows and print a.json's numbers ---
+refuse=$(mktemp -d)
+echo '{"movies":[{"name":"m1","length":90,"wait":1,"targetHit":0.5,"popularity":3,"dur":"exp:5","think":"exp:15"},{"name":"m2","length":90,"wait":1,"targetHit":0.5,"popularity":1,"dur":"exp:5","think":"exp:15"}]}' >"$refuse/a.json"
+sed 's/exp:15/exp:60/g' "$refuse/a.json" >"$refuse/b.json"
+go build -o "$refuse/vodcluster" ./cmd/vodcluster
+"$refuse/vodcluster" simulate -catalog "$refuse/a.json" -nodes 2 -lambda 1 \
+    -horizon 800 -resume "$refuse/ck" >/dev/null
+if "$refuse/vodcluster" simulate -catalog "$refuse/b.json" -nodes 2 -lambda 1 \
+    -horizon 800 -resume "$refuse/ck" >/dev/null 2>"$refuse/err"; then
+    echo "ci: a rerun with a drifted catalog resumed the old journal" >&2
+    exit 1
+fi
+if ! grep -q 'identity mismatch' "$refuse/err"; then
+    echo "ci: the drifted rerun failed without an identity mismatch:" >&2
+    cat "$refuse/err" >&2
+    exit 1
+fi
+rm -rf "$refuse"
+echo "ci: resume-refusal smoke passed"
 
 # --- cluster smoke: plan Example 1 onto 3 nodes, then a short
 # failover simulation with one node down mid-run ---
