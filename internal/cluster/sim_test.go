@@ -317,3 +317,82 @@ func TestSimConfigValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestSimulateRoutingFlowsPinned pins Simulate's routing pass — every
+// movie's arrivals, routed, shed and failovers, and the rebalance count —
+// across outage shapes: none, a repaired and a permanent outage of the
+// hottest movie's primary host, overlapping outages (one starting before
+// warmup) that take down an unreplicated movie's only host, and a
+// one-node cluster. Any change to the arrival streams, the router draws
+// or the equal-time event order moves them.
+func TestSimulateRoutingFlowsPinned(t *testing.T) {
+	movies, err := workload.ZipfCatalog(4, 0.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := make([]MovieAlloc, len(movies))
+	for i, m := range movies {
+		allocs[i] = MovieAlloc{Movie: m.Name, N: 20, B: 10, Weight: m.Popularity}
+	}
+	three, err := PackAllocs(allocs, UniformNodes(3, 60, 40), Options{Replicas: 2, HotMovies: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := PackAllocs(allocs, UniformNodes(1, 100, 60), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hotPrimary := three.Replicas("m01")[0].Node
+	coldHost := three.Replicas("m03")[0].Node
+	other := three.Replicas("m04")[0].Node
+	if len(three.Replicas("m03")) != 1 || other == coldHost {
+		t.Fatalf("placement shape changed: %+v", three.Assignments)
+	}
+
+	type flow struct{ arrivals, routed, shed, failovers uint64 }
+	cases := []struct {
+		name       string
+		p          Placement
+		faults     []NodeFault
+		want       []flow // catalog order
+		rebalances uint64
+	}{
+		{"no faults", three, nil,
+			[]flow{{670, 670, 0, 0}, {427, 427, 0, 0}, {302, 302, 0, 0}, {248, 248, 0, 0}}, 0},
+		{"repaired hot primary", three, []NodeFault{{Node: hotPrimary, At: 200, Until: 420}},
+			[]flow{{670, 670, 0, 266}, {427, 427, 0, 0}, {302, 302, 0, 0}, {248, 150, 98, 0}}, 266},
+		{"permanent", three, []NodeFault{{Node: hotPrimary, At: 250}},
+			[]flow{{670, 670, 0, 422}, {427, 427, 0, 0}, {302, 302, 0, 0}, {248, 97, 151, 0}}, 422},
+		{"overlapping", three, []NodeFault{
+			{Node: coldHost, At: 30, Until: 300},
+			{Node: coldHost, At: 200, Until: 450},
+			{Node: other, At: 250, Until: 350},
+		}, []flow{{670, 670, 0, 123}, {427, 427, 0, 185}, {302, 179, 123, 0}, {248, 216, 32, 0}}, 308},
+		{"one node", one, []NodeFault{{Node: "node0", At: 200, Until: 350}},
+			[]flow{{670, 481, 189, 0}, {427, 316, 111, 0}, {302, 225, 77, 0}, {248, 188, 60, 0}}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			res, err := Simulate(context.Background(), SimConfig{
+				Placement: c.p,
+				Movies:    movies,
+				Rates:     testRates,
+				TotalRate: 3,
+				Horizon:   600,
+				Warmup:    60,
+				Seed:      5,
+				Faults:    c.faults,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]flow, len(res.Movies))
+			for i, m := range res.Movies {
+				got[i] = flow{m.Arrivals, m.Routed, m.Shed, m.Failovers}
+			}
+			if !reflect.DeepEqual(got, c.want) || res.Rebalances != c.rebalances {
+				t.Errorf("flows %+v rebalances %d, want %+v rebalances %d", got, res.Rebalances, c.want, c.rebalances)
+			}
+		})
+	}
+}
