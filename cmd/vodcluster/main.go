@@ -205,7 +205,9 @@ func printPlan(p cluster.Placement, movies []workload.Movie) {
 	}
 }
 
-// simFlags are the load/horizon knobs shared by simulate and sweep.
+// simFlags are the load/horizon knobs shared by simulate, sweep and
+// churn, plus the per-node simulation backend knobs that only simulate
+// and sweep register (see addNodeSimFlags).
 type simFlags struct {
 	lambda         *float64
 	horizon        *float64
@@ -224,11 +226,18 @@ func addSimFlags(fs *flag.FlagSet) simFlags {
 		warmup:  fs.Float64("warmup", -1, "measurement warmup, minutes (-1 = horizon/10)"),
 		seed:    fs.Int64("seed", 1, "random seed"),
 		resume:  fs.String("resume", "", "checkpoint directory: journal per-node rows there and resume a killed run"),
-		engine:  fs.String("engine", "des", "per-node simulation backend: des|fluid|hybrid"),
-		fluidThreshold: fs.Float64("fluid-threshold", 0,
-			"hybrid mode: per-movie arrival rate at or above which a copy runs fluid"),
-		particleRate: fs.Float64("particle-rate", 0, "fluid shadow-viewer rate per minute (0 = default)"),
 	}
+}
+
+// addNodeSimFlags is addSimFlags plus the per-node simulation backend
+// flags, for the subcommands that run per-node simulations.
+func addNodeSimFlags(fs *flag.FlagSet) simFlags {
+	s := addSimFlags(fs)
+	s.engine = fs.String("engine", "des", "per-node simulation backend: des|fluid|hybrid")
+	s.fluidThreshold = fs.Float64("fluid-threshold", 0,
+		"hybrid mode: per-movie arrival rate at or above which a copy runs fluid")
+	s.particleRate = fs.Float64("particle-rate", 0, "fluid shadow-viewer rate per minute (0 = default)")
+	return s
 }
 
 func (s simFlags) warmupVal() float64 {
@@ -279,7 +288,7 @@ func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
 	cat := addCatalogFlags(fs)
 	cf := addClusterFlags(fs)
-	sf := addSimFlags(fs)
+	sf := addNodeSimFlags(fs)
 	failSpec := fs.String("fail", "", `node outages: "node0@400,node2@500-1500" (permanent without -end)`)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -311,7 +320,7 @@ func runSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	cat := addCatalogFlags(fs)
 	cf := addClusterFlags(fs)
-	sf := addSimFlags(fs)
+	sf := addNodeSimFlags(fs)
 	minNodes := fs.Int("min-nodes", 1, "smallest node count")
 	maxNodes := fs.Int("max-nodes", 6, "largest node count")
 	if err := fs.Parse(args); err != nil {

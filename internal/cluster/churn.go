@@ -296,6 +296,7 @@ type churnRun struct {
 	arrivals, admitted uint64
 	shed               [3]uint64 // by ShedReason
 	failovers          uint64
+	flows              []movieFlow // per movie; not digested
 	hitSum             float64
 	wins               []churnWinAcc
 	convergedAt        float64
@@ -313,6 +314,12 @@ type churnRun struct {
 	waits                         []float64
 	waitSum, waitMax              float64
 	starved                       uint64
+}
+
+// movieFlow is one movie's post-warmup routing tallies: arrivals, those
+// routed (admitted), and routed failovers.
+type movieFlow struct {
+	arrivals, routed, failovers uint64
 }
 
 type churnWinAcc struct {
@@ -336,8 +343,9 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		alloc:       make(map[string]MovieAlloc, len(cfg.Workload.Movies)),
 		rngs:        make([]*rand.Rand, len(cfg.Workload.Movies)),
 		rates:       make([]float64, len(cfg.Workload.Movies)),
-		k:           horizonKernel{horizon: cfg.Horizon, arrival: cevArrival},
+		k:           horizonKernel{horizon: cfg.Horizon},
 		arrive:      make([]func(float64), len(cfg.Workload.Movies)),
+		flows:       make([]movieFlow, len(cfg.Workload.Movies)),
 		flashEnd:    cfg.Workload.LastFlashEnd(),
 		convergedAt: -1,
 	}
@@ -485,6 +493,7 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 	var win *churnWinAcc
 	if measured {
 		r.arrivals++
+		r.flows[i].arrivals++
 		win = r.winFor(now)
 		win.arrivals++
 	}
@@ -540,6 +549,7 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 		return
 	}
 	r.admitted++
+	r.flows[i].routed++
 	win.admitted++
 	// Contention-aware hit: a replica carrying more live viewers than its
 	// pre-allocated streams dilutes its buffer hit rate proportionally —
@@ -552,6 +562,7 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 	win.hitSum += hit
 	if d.Failover {
 		r.failovers++
+		r.flows[i].failovers++
 	}
 	if r.grayOn {
 		r.waits = append(r.waits, wait)

@@ -2,18 +2,17 @@ package cluster
 
 import "vodalloc/internal/des"
 
-// horizonKernel is the des.Kernel both cluster event loops — the churn
-// engine and Simulate's routing pass — run on, plus the horizon rule
-// they share. Each loop schedules its event kinds as kernel classes, so
-// equal-time events fire in kind order. An event scheduled at or past
-// the horizon still enters the queue, counting toward Fired and Pending
-// like any other, but fires as a no-op — except an arrival, whose
-// firing ends the run. A time the kernel refuses (NaN, or earlier than
-// now) becomes the run's error.
+// horizonKernel is the des.Kernel the churn engine — the cluster
+// layer's one event loop, Simulate's routing pass included — runs on,
+// plus its horizon rule. The engine schedules its event kinds as kernel
+// classes, so equal-time events fire in kind order. An event scheduled
+// at or past the horizon still enters the queue, counting toward Fired
+// and Pending like any other, but fires as a no-op — except an arrival
+// (cevArrival), whose firing ends the run. A time the kernel refuses
+// (NaN, or earlier than now) becomes the run's error.
 type horizonKernel struct {
 	des.Kernel
 	horizon float64
-	arrival uint8 // the class whose first firing past the horizon ends the run
 	ended   bool
 	err     error
 }
@@ -22,7 +21,7 @@ type horizonKernel struct {
 func (k *horizonKernel) at(t float64, class uint8, label string, fn func(now float64)) {
 	if t >= k.horizon {
 		fn = nop
-		if class == k.arrival {
+		if class == cevArrival {
 			fn = k.end
 		}
 	}

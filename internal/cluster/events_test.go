@@ -9,18 +9,18 @@ import (
 	"vodalloc/internal/des"
 )
 
-// The cluster loops' horizon rule: an event at or past the horizon is
+// The churn engine's horizon rule: an event at or past the horizon is
 // queued and counted but fires as a no-op, and the first arrival at or
 // past it ends the run.
 func TestHorizonKernelEndsAtFirstLateArrival(t *testing.T) {
-	k := &horizonKernel{horizon: 10, arrival: 2}
+	k := &horizonKernel{horizon: 10}
 	var fired []string
 	rec := func(s string) func(float64) { return func(float64) { fired = append(fired, s) } }
-	k.at(5, 1, "early", rec("early"))
-	k.at(10, 1, "late", rec("late"))
-	k.at(12, 2, "arrival", rec("arrival"))
-	k.at(12, 1, "tie", rec("tie"))
-	k.at(15, 1, "after", rec("after"))
+	k.at(5, cevDeparture, "early", rec("early"))
+	k.at(10, cevDeparture, "late", rec("late"))
+	k.at(12, cevArrival, "arrival", rec("arrival"))
+	k.at(12, cevDeparture, "tie", rec("tie"))
+	k.at(15, cevDeparture, "after", rec("after"))
 	k.Run()
 	if len(fired) != 1 || fired[0] != "early" {
 		t.Errorf("callbacks fired: %v, want only early", fired)

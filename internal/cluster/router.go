@@ -8,20 +8,14 @@ import (
 	"sync"
 )
 
-// Decision is one routing outcome: which node serves the request, and
-// whether the primary replica's node was down (a failover).
-type Decision struct {
-	Node     string
-	Failover bool
-}
-
 // RouterStats counts a router's outcomes.
 type RouterStats struct {
 	// Routed counts requests handed to a node.
 	Routed uint64
 	// Failovers counts routed requests whose primary host was down.
 	Failovers uint64
-	// Sheds counts requests with every replica host down.
+	// Sheds counts requests with no routable replica host: every host
+	// down or quarantined, or the rest at capacity.
 	Sheds uint64
 }
 
@@ -30,9 +24,9 @@ type RouterStats struct {
 // its live load (so bigger allocations and idler nodes attract more
 // requests), drawn from a seeded generator: a fixed seed and call
 // sequence reproduce the same decisions exactly. When a host is marked
-// down its replicas drop out of the draw; requests whose primary is
-// down but some replica is up fail over, and requests with no live
-// host return ErrUnavailable (a shed).
+// down or reaches its stream budget its replicas drop out of the draw;
+// requests whose primary is down but some replica is routable fail
+// over, and requests with no routable host are shed with a typed error.
 type Router struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
@@ -43,9 +37,8 @@ type Router struct {
 	down []bool
 	live []int // in-flight requests per node
 
-	// maxStreams is each node's stream capacity; RouteLoad (the churn
-	// path) sheds a host whose live load has reached it, while Route
-	// (the static path) ignores it for parity with pre-capacity runs.
+	// maxStreams is each node's stream capacity: a host whose live load
+	// has reached it drops out of the draw (see nodeFullLocked).
 	maxStreams []int
 	// liveBy tracks in-flight viewers per (movie, node) replica, for the
 	// contention-aware hit accounting of the churn simulator.
@@ -56,8 +49,7 @@ type Router struct {
 	// Gray-failure resilience (see health.go): per-node latency trackers
 	// and quarantine states, the routing policy, and the global observed-
 	// wait window that sets the hedging deadline. A Quarantined node is
-	// excluded from every routing path — Route and RouteLoad included —
-	// never just from the gray path.
+	// excluded from RouteLoad as well as RouteGray.
 	policy     RoutePolicy
 	hcfg       HealthConfig
 	health     []nodeHealth
@@ -131,42 +123,60 @@ func (r *Router) SetNodeDown(id string, down bool) error {
 	return nil
 }
 
-// Route picks a node for one request of the movie and counts it as
-// in-flight there until Done is called with the chosen node.
-func (r *Router) Route(movie string) (Decision, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	hosts, ok := r.host[movie]
-	if !ok {
-		return Decision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
-	}
-	// Collect live hosts and their weights capacity/(1+live).
+// candidatesLocked is the one replica selection behind RouteLoad and
+// RouteGray. It collects the movie's routable hosts — up, not
+// quarantined and not full — weighted by placed streams over 1 + live
+// load, times the health score squared unless the policy is blind.
+// Probation hosts serve only as a fallback when nothing healthier is
+// routable. It returns indexes into hosts, their weights and the
+// weights' sum; with no candidate it counts a shed and returns
+// ErrSaturated when some host is alive but full, ErrUnavailable
+// otherwise.
+func (r *Router) candidatesLocked(movie string, hosts []int) (up []int, wts []float64, total float64, err error) {
 	var (
-		up    []int
-		wts   []float64
-		total float64
+		upP   []int
+		wtsP  []float64
+		totP  float64
+		alive bool
 	)
+	caps := r.cap[movie]
 	for k, n := range hosts {
+		// A Quarantined host is deliberately out of service: it neither
+		// takes traffic nor counts as alive (shedding with no routable
+		// host is typed ErrUnavailable, not ErrSaturated).
 		if r.down[n] || r.health[n].state == Quarantined {
 			continue
 		}
-		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		up = append(up, n)
+		alive = true
+		if r.nodeFullLocked(n) {
+			continue
+		}
+		w := float64(caps[k]) / float64(1+r.live[n])
+		if r.policy != PolicyBlind {
+			s := r.scoreLocked(n)
+			w *= s * s
+		}
+		if r.health[n].state == Probation {
+			upP = append(upP, k)
+			wtsP = append(wtsP, w)
+			totP += w
+			continue
+		}
+		up = append(up, k)
 		wts = append(wts, w)
 		total += w
 	}
 	if len(up) == 0 {
+		up, wts, total = upP, wtsP, totP
+	}
+	if len(up) == 0 {
 		r.stats.Sheds++
-		return Decision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+		if alive {
+			return nil, nil, 0, fmt.Errorf("%w: %q", ErrSaturated, movie)
+		}
+		return nil, nil, 0, fmt.Errorf("%w: %q", ErrUnavailable, movie)
 	}
-	choice := up[r.drawLocked(wts, total)]
-	d := Decision{Node: r.ids[choice], Failover: r.down[hosts[0]]}
-	r.live[choice]++
-	r.stats.Routed++
-	if d.Failover {
-		r.stats.Failovers++
-	}
-	return d, nil
+	return up, wts, total, nil
 }
 
 // drawLocked picks an index into wts with probability proportional to
@@ -189,15 +199,6 @@ func (r *Router) drawLocked(wts []float64, total float64) int {
 	return last
 }
 
-// Done releases one in-flight request previously routed to the node.
-func (r *Router) Done(node string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.node[node]; ok && r.live[i] > 0 {
-		r.live[i]--
-	}
-}
-
 // Stats returns a snapshot of the router's counters.
 func (r *Router) Stats() RouterStats {
 	r.mu.Lock()
@@ -209,10 +210,8 @@ func (r *Router) Stats() RouterStats {
 //
 // The methods below let a controller rebalance the catalog while
 // traffic flows: replicas are added and removed atomically under the
-// router's lock, so every Route call sees either the old or the new
-// replica set, never a partial one; and RouteLoad is the capacity-aware
-// routing used by the churn simulator, which distinguishes "every host
-// down" from "hosts up but saturated" so shedding can be typed.
+// router's lock, so every routing call sees either the old or the new
+// replica set, never a partial one.
 
 // ErrSaturated reports a routing request whose every live replica host
 // is at its stream capacity; the request is shed (typed ShedSaturated).
@@ -220,7 +219,7 @@ var ErrSaturated = errors.New("cluster: every live replica host is saturated")
 
 // AddReplica atomically adds a live replica of the movie on the node
 // with placed stream capacity n. New flows start landing on it with the
-// very next Route/RouteLoad call — the "atomic flow switch" a completed
+// very next RouteLoad/RouteGray call — the "atomic flow switch" a completed
 // migration performs.
 func (r *Router) AddReplica(movie, node string, n int) error {
 	r.mu.Lock()
@@ -345,17 +344,6 @@ func (r *Router) Load() (live, capacity int) {
 	return live, capacity
 }
 
-// NodeLoad reports one node's live streams and capacity.
-func (r *Router) NodeLoad(node string) (live, capacity int, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: unknown node %q", ErrBadCluster, node)
-	}
-	return r.live[i], r.maxStreams[i], nil
-}
-
 // LoadDecision is RouteLoad's outcome: the serving node, whether the
 // primary was down (failover), the chosen replica's placed stream
 // capacity, and the replica's live viewer count including this one —
@@ -367,11 +355,13 @@ type LoadDecision struct {
 	Live     int
 }
 
-// RouteLoad picks a node for one request like Route, but additionally
-// respects node stream capacities (a host at capacity drops out of the
-// draw) and tracks per-replica live load. Typed failures: every host
+// RouteLoad picks a node for one request of the movie by the router's
+// replica selection (candidatesLocked) and one weighted draw, and books
+// it there. It tracks per-replica live load; typed failures: every host
 // down → ErrUnavailable; some host up but all at capacity →
-// ErrSaturated. Call Release(movie, node) when the viewer departs.
+// ErrSaturated. RouteGray adds wait measurement, probation probes and
+// hedging on top of the same selection. Call Release(movie, node) when
+// the viewer departs.
 func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -379,53 +369,11 @@ func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
 	if !ok {
 		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
 	}
-	var (
-		up    []int // indexes into hosts
-		wts   []float64
-		total float64
-		alive bool
-	)
-	for k, n := range hosts {
-		// A Quarantined host is deliberately out of service: it neither
-		// takes traffic nor counts as alive (shedding with no routable
-		// host is typed ErrUnavailable, not ErrSaturated).
-		if r.down[n] || r.health[n].state == Quarantined {
-			continue
-		}
-		alive = true
-		if r.maxStreams[n] > 0 && r.live[n] >= r.maxStreams[n] {
-			continue
-		}
-		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		up = append(up, k)
-		wts = append(wts, w)
-		total += w
+	up, wts, total, err := r.candidatesLocked(movie, hosts)
+	if err != nil {
+		return LoadDecision{}, err
 	}
-	if len(up) == 0 {
-		r.stats.Sheds++
-		if alive {
-			return LoadDecision{}, fmt.Errorf("%w: %q", ErrSaturated, movie)
-		}
-		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
-	}
-	choice := up[r.drawLocked(wts, total)]
-	node := hosts[choice]
-	r.live[node]++
-	if r.diskLive != nil {
-		r.diskLive[node][r.pickDiskLocked(node)]++
-	}
-	key := movie + "\x00" + r.ids[node]
-	r.liveBy[key]++
-	r.stats.Routed++
-	d := LoadDecision{
-		Node:     r.ids[node],
-		Failover: r.down[hosts[0]],
-		AllocN:   r.cap[movie][choice],
-		Live:     r.liveBy[key],
-	}
-	if d.Failover {
-		r.stats.Failovers++
-	}
+	d, _, _ := r.commitLocked(movie, hosts, up[r.drawLocked(wts, total)])
 	return d, nil
 }
 

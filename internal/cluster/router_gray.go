@@ -543,12 +543,13 @@ type GrayDecision struct {
 	Hedged, HedgeWin bool
 }
 
-// RouteGray is the gray-aware routing path: RouteLoad semantics plus
-// health-weighted selection, probation probes, and (under PolicyHedge)
-// hedged dispatch. waitFn draws the physical service wait of landing
-// one request on node index i with liveAfter in-flight streams; it is
-// called once, or twice when a hedge is issued. A NaN or negative wait
-// is refused with ErrBadCluster and the request's reservation released.
+// RouteGray is the gray-aware routing path: RouteLoad's replica
+// selection and draw plus probation probes, wait measurement feeding
+// the health trackers, and (under PolicyHedge) hedged dispatch. waitFn
+// draws the physical service wait of landing one request on node index
+// i with liveAfter in-flight streams; it is called once, or twice when
+// a hedge is issued. A NaN or negative wait is refused with
+// ErrBadCluster and the request's reservation released.
 //
 // Hedging models real first-wins dispatch: the primary is issued at
 // t=0; if its wait exceeds the deadline D — exactly the condition "no
@@ -591,7 +592,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 			if nh.probes%r.hcfg.ProbeEvery != 0 {
 				continue
 			}
-			d, disk, diskProbe := r.commitLocked(movie, k)
+			d, disk, diskProbe := r.commitLocked(movie, hosts, k)
 			wait := waitFn(n, disk, r.diskLiveLocked(n, disk))
 			if !(wait >= 0) {
 				return GrayDecision{}, r.refuseWaitLocked(movie, d, n, disk, wait)
@@ -604,50 +605,13 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 		}
 	}
 
-	var (
-		up, upP     []int // indexes into hosts
-		wts, wtsP   []float64
-		total, totP float64
-		alive       bool
-	)
-	for k, n := range hosts {
-		if r.down[n] || r.health[n].state == Quarantined {
-			continue
-		}
-		alive = true
-		if r.nodeFullLocked(n) {
-			continue
-		}
-		w := float64(r.cap[movie][k]) / float64(1+r.live[n])
-		if r.policy != PolicyBlind {
-			s := r.scoreLocked(n)
-			w *= s * s
-		}
-		if r.health[n].state == Probation {
-			// Probation hosts normally take probes only, but they do
-			// serve as a fallback when nothing healthier is routable.
-			upP = append(upP, k)
-			wtsP = append(wtsP, w)
-			totP += w
-			continue
-		}
-		up = append(up, k)
-		wts = append(wts, w)
-		total += w
-	}
-	if len(up) == 0 && len(upP) > 0 {
-		up, wts, total = upP, wtsP, totP
-	}
-	if len(up) == 0 {
-		r.stats.Sheds++
-		if alive {
-			return GrayDecision{}, fmt.Errorf("%w: %q", ErrSaturated, movie)
-		}
-		return GrayDecision{}, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+	up, wts, total, err := r.candidatesLocked(movie, hosts)
+	if err != nil {
+		return GrayDecision{}, err
 	}
 	choice := up[r.drawLocked(wts, total)]
 
-	d, disk1, diskProbe1 := r.commitLocked(movie, choice)
+	d, disk1, diskProbe1 := r.commitLocked(movie, hosts, choice)
 	primary := hosts[choice]
 	wait1 := waitFn(primary, disk1, r.diskLiveLocked(primary, disk1))
 	if !(wait1 >= 0) {
@@ -678,7 +642,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 			}
 			if bk >= 0 {
 				backup := hosts[bk]
-				bd, disk2, diskProbe2 := r.commitLocked(movie, bk)
+				bd, disk2, diskProbe2 := r.commitLocked(movie, hosts, bk)
 				// One request, not two: back out the double count.
 				r.stats.Routed--
 				if bd.Failover {
@@ -724,11 +688,11 @@ func (r *Router) diskLiveLocked(node, disk int) int {
 	return r.diskLive[node][disk]
 }
 
-// commitLocked books one request onto hosts[choice] of the movie —
-// choosing the serving disk, probation disks first when a probe is due
-// — and builds its LoadDecision. Lock held.
-func (r *Router) commitLocked(movie string, choice int) (LoadDecision, int, bool) {
-	hosts := r.host[movie]
+// commitLocked books one request onto hosts[choice], hosts being the
+// movie's replica hosts as the caller looked them up — choosing the
+// serving disk, probation disks first when a probe is due — and builds
+// its LoadDecision. Lock held.
+func (r *Router) commitLocked(movie string, hosts []int, choice int) (LoadDecision, int, bool) {
 	node := hosts[choice]
 	disk, diskProbe := 0, false
 	if r.diskLive != nil {

@@ -269,10 +269,6 @@ func TestRouterQuarantineExcludedUnderMutation(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 5000; i++ {
-				if d, err := r.Route("hot"); err == nil {
-					routed[g] = append(routed[g], d.Node)
-					r.Done(d.Node)
-				}
 				if d, err := r.RouteLoad("hot"); err == nil {
 					routed[g] = append(routed[g], d.Node)
 					r.Release("hot", d.Node)

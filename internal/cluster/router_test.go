@@ -8,11 +8,19 @@ import (
 
 func testPlacement(t *testing.T) Placement {
 	t.Helper()
+	return testPlacementStreams(t, 30)
+}
+
+// testPlacementStreams is testPlacement on nodes with the given stream
+// budget; tests that pile up hundreds of unreleased requests use a
+// budget they never reach, so RouteLoad does not shed them as saturated.
+func testPlacementStreams(t *testing.T, streams int) Placement {
+	t.Helper()
 	allocs := []MovieAlloc{
 		{Movie: "hot", N: 12, B: 6, Weight: 0.7},
 		{Movie: "cold", N: 8, B: 4, Weight: 0.3},
 	}
-	p, err := PackAllocs(allocs, UniformNodes(3, 30, 20), Options{Replicas: 2, HotMovies: 1})
+	p, err := PackAllocs(allocs, UniformNodes(3, streams, 20), Options{Replicas: 2, HotMovies: 1})
 	if err != nil {
 		t.Fatalf("PackAllocs: %v", err)
 	}
@@ -33,22 +41,23 @@ func TestRouterDeterministic(t *testing.T) {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	movies := []string{"hot", "cold", "hot", "hot", "cold"}
-	var done1, done2 []string
+	type viewer struct{ movie, node string }
+	var live1, live2 []viewer
 	for i := 0; i < 400; i++ {
 		m := movies[i%len(movies)]
-		d1, err1 := r1.Route(m)
-		d2, err2 := r2.Route(m)
+		d1, err1 := r1.RouteLoad(m)
+		d2, err2 := r2.RouteLoad(m)
 		if (err1 == nil) != (err2 == nil) || d1 != d2 {
 			t.Fatalf("call %d: %v/%v vs %v/%v", i, d1, err1, d2, err2)
 		}
 		if err1 == nil {
-			done1 = append(done1, d1.Node)
-			done2 = append(done2, d2.Node)
+			live1 = append(live1, viewer{m, d1.Node})
+			live2 = append(live2, viewer{m, d2.Node})
 		}
-		if i%3 == 2 && len(done1) > 0 {
-			r1.Done(done1[0])
-			r2.Done(done2[0])
-			done1, done2 = done1[1:], done2[1:]
+		if i%3 == 2 && len(live1) > 0 {
+			r1.Release(live1[0].movie, live1[0].node)
+			r2.Release(live2[0].movie, live2[0].node)
+			live1, live2 = live1[1:], live2[1:]
 		}
 	}
 	if r1.Stats() != r2.Stats() {
@@ -70,9 +79,9 @@ func TestRouterFailover(t *testing.T) {
 		t.Fatalf("SetNodeDown: %v", err)
 	}
 	for i := 0; i < 10; i++ {
-		d, err := r.Route("hot")
+		d, err := r.RouteLoad("hot")
 		if err != nil {
-			t.Fatalf("Route: %v", err)
+			t.Fatalf("RouteLoad: %v", err)
 		}
 		if d.Node != reps[1].Node || !d.Failover {
 			t.Fatalf("got %+v, want failover to %s", d, reps[1].Node)
@@ -94,7 +103,7 @@ func TestRouterShedsWhenAllReplicasDown(t *testing.T) {
 			t.Fatalf("SetNodeDown: %v", err)
 		}
 	}
-	if _, err := r.Route("cold"); !errors.Is(err, ErrUnavailable) {
+	if _, err := r.RouteLoad("cold"); !errors.Is(err, ErrUnavailable) {
 		t.Fatalf("got %v, want ErrUnavailable", err)
 	}
 	if s := r.Stats(); s.Sheds != 1 {
@@ -106,8 +115,8 @@ func TestRouterShedsWhenAllReplicasDown(t *testing.T) {
 			t.Fatalf("SetNodeDown: %v", err)
 		}
 	}
-	if _, err := r.Route("cold"); err != nil {
-		t.Fatalf("Route after repair: %v", err)
+	if _, err := r.RouteLoad("cold"); err != nil {
+		t.Fatalf("RouteLoad after repair: %v", err)
 	}
 }
 
@@ -116,18 +125,46 @@ func TestRouterUnknownInputs(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	if _, err := r.Route("nope"); !errors.Is(err, ErrUnknownMovie) {
-		t.Errorf("Route(nope): got %v, want ErrUnknownMovie", err)
+	if _, err := r.RouteLoad("nope"); !errors.Is(err, ErrUnknownMovie) {
+		t.Errorf("RouteLoad(nope): got %v, want ErrUnknownMovie", err)
 	}
 	if err := r.SetNodeDown("nope", true); !errors.Is(err, ErrBadCluster) {
 		t.Errorf("SetNodeDown(nope): got %v, want ErrBadCluster", err)
 	}
 }
 
+// TestRouteLoadProbationIsFallback: RouteLoad makes RouteGray's replica
+// selection, so a Probation host takes no RouteLoad traffic while a
+// healthier replica is routable, and serves as the fallback once none is.
+func TestRouteLoadProbationIsFallback(t *testing.T) {
+	p := testPlacement(t)
+	r, err := NewRouter(p, 9)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	reps := p.Replicas("hot")
+	if err := r.SetHealthState(reps[1].Node, Probation); err != nil {
+		t.Fatalf("SetHealthState: %v", err)
+	}
+	for i := 0; i < 20; i++ {
+		d, err := r.RouteLoad("hot")
+		if err != nil || d.Node != reps[0].Node {
+			t.Fatalf("request %d: %+v, %v; want the healthy primary %s", i, d, err, reps[0].Node)
+		}
+	}
+	if err := r.SetNodeDown(reps[0].Node, true); err != nil {
+		t.Fatalf("SetNodeDown: %v", err)
+	}
+	if d, err := r.RouteLoad("hot"); err != nil || d.Node != reps[1].Node || !d.Failover {
+		t.Fatalf("primary down: %+v, %v; want a failover to the probation host %s", d, err, reps[1].Node)
+	}
+}
+
 // TestRouterConcurrent hammers the router from many goroutines so the
-// race detector can vet the locking; totals must balance.
+// race detector can vet the locking; totals must balance. Half the
+// requests are never released, so the nodes' budgets sit out of reach.
 func TestRouterConcurrent(t *testing.T) {
-	r, err := NewRouter(testPlacement(t), 3)
+	r, err := NewRouter(testPlacementStreams(t, 1000), 3)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
@@ -142,13 +179,13 @@ func TestRouterConcurrent(t *testing.T) {
 				movie = "cold"
 			}
 			for i := 0; i < per; i++ {
-				d, err := r.Route(movie)
+				d, err := r.RouteLoad(movie)
 				if err != nil {
-					t.Errorf("Route: %v", err)
+					t.Errorf("RouteLoad: %v", err)
 					return
 				}
 				if i%2 == 0 {
-					r.Done(d.Node)
+					r.Release(movie, d.Node)
 				}
 			}
 		}(g)
@@ -160,18 +197,18 @@ func TestRouterConcurrent(t *testing.T) {
 }
 
 func TestRouterSpreadsLoadAcrossReplicas(t *testing.T) {
-	p := testPlacement(t)
+	p := testPlacementStreams(t, 1000)
 	r, err := NewRouter(p, 5)
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
 	counts := map[string]int{}
 	for i := 0; i < 600; i++ {
-		d, err := r.Route("hot")
+		d, err := r.RouteLoad("hot")
 		if err != nil {
-			t.Fatalf("Route: %v", err)
+			t.Fatalf("RouteLoad: %v", err)
 		}
-		counts[d.Node]++ // never Done: live load accumulates
+		counts[d.Node]++ // never released: live load accumulates
 	}
 	reps := p.Replicas("hot")
 	for _, a := range reps {

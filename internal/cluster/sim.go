@@ -2,10 +2,8 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strconv"
 	"strings"
@@ -119,18 +117,14 @@ func (c SimConfig) spd() int {
 	return 10
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration: the routing pass's churn
+// configuration (placement, catalog, rate, horizon, warmup and faults),
+// then the per-node simulation settings.
 func (c SimConfig) Validate() error {
-	if err := c.Placement.Validate(); err != nil {
+	if err := c.routing().Validate(); err != nil {
 		return err
 	}
 	switch {
-	case !(c.TotalRate > 0) || math.IsInf(c.TotalRate, 0):
-		return fmt.Errorf("%w: total arrival rate %v", ErrBadCluster, c.TotalRate)
-	case !(c.Horizon > 0) || math.IsInf(c.Horizon, 0):
-		return fmt.Errorf("%w: horizon %v", ErrBadCluster, c.Horizon)
-	case math.IsNaN(c.Warmup) || c.Warmup < 0 || c.Warmup >= c.Horizon:
-		return fmt.Errorf("%w: warmup %v outside [0, horizon)", ErrBadCluster, c.Warmup)
 	case c.StreamsPerDisk < 0:
 		return fmt.Errorf("%w: streams per disk %d", ErrBadCluster, c.StreamsPerDisk)
 	case c.FluidThreshold < 0 || math.IsNaN(c.FluidThreshold):
@@ -140,34 +134,6 @@ func (c SimConfig) Validate() error {
 	}
 	if _, err := sim.ParseEngine(string(c.Engine)); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadCluster, err)
-	}
-	catalog := make(map[string]bool, len(c.Movies))
-	for _, m := range c.Movies {
-		if err := m.Validate(); err != nil {
-			return err
-		}
-		catalog[m.Name] = true
-	}
-	placed := make(map[string]bool)
-	for _, a := range c.Placement.Assignments {
-		if !catalog[a.Movie] {
-			return fmt.Errorf("%w: placed movie %q missing from catalog", ErrBadCluster, a.Movie)
-		}
-		placed[a.Movie] = true
-	}
-	for _, m := range c.Movies {
-		if !placed[m.Name] {
-			return fmt.Errorf("%w: catalog movie %q not placed", ErrBadCluster, m.Name)
-		}
-	}
-	known := make(map[string]bool, len(c.Placement.Nodes))
-	for _, n := range c.Placement.Nodes {
-		known[n.ID] = true
-	}
-	for _, f := range c.Faults {
-		if err := f.Validate(known); err != nil {
-			return err
-		}
 	}
 	rates, err := workload.SplitRate(c.TotalRate, c.Movies)
 	if err != nil {
@@ -267,13 +233,13 @@ type nodeMovieRow struct {
 	Trials    uint64 `json:"trials"`
 }
 
-// Simulate runs the cluster: a deterministic routing pass spreads the
-// Poisson demand over replicas (exercising failover and shedding
-// around the injected node outages), and one internal/sim server per
-// node runs concurrently to measure the hit probability each node
-// delivers for its placed load. Per-node and per-movie measurements
-// are merged into cluster-level hit probability, availability, shed
-// rate and rebalance counts.
+// Simulate runs the cluster: a deterministic routing pass — a churn run
+// with the controller off — spreads the Poisson demand over replicas
+// (exercising failover and shedding around the injected node outages),
+// and one internal/sim server per node runs concurrently to measure the
+// hit probability each node delivers for its placed load. Per-node and
+// per-movie measurements are merged into cluster-level hit probability,
+// availability, shed rate and rebalance counts.
 func Simulate(ctx context.Context, cfg SimConfig) (*Result, error) {
 	res, _, err := SimulateResumable(ctx, cfg, "")
 	return res, err
@@ -293,7 +259,7 @@ func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result
 	if err != nil {
 		return nil, checkpoint.Resumed{}, err
 	}
-	flows, rebalances, err := routeDemand(cfg, movieRates)
+	routed, err := routingPass(ctx, cfg)
 	if err != nil {
 		return nil, checkpoint.Resumed{}, err
 	}
@@ -304,7 +270,7 @@ func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result
 	}
 
 	// Merge per-node digests and routing flows.
-	res := &Result{Rebalances: rebalances}
+	res := &Result{Rebalances: routed.failovers}
 	loads := p.Loads()
 	var hitS, hitT uint64
 	movieHits := make(map[string]*MovieOutcome, len(cfg.Movies))
@@ -345,9 +311,9 @@ func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result
 		if mo == nil {
 			mo = &MovieOutcome{Movie: m.Name}
 		}
-		f := flows[i]
+		f := routed.flows[i]
 		mo.Replicas = len(p.Replicas(m.Name))
-		mo.Arrivals, mo.Routed, mo.Shed, mo.Failovers = f.arrivals, f.routed, f.shed, f.failovers
+		mo.Arrivals, mo.Routed, mo.Shed, mo.Failovers = f.arrivals, f.routed, f.arrivals-f.routed, f.failovers
 		if mo.Arrivals > 0 {
 			mo.Availability = float64(mo.Routed) / float64(mo.Arrivals)
 		} else {
@@ -373,82 +339,37 @@ func SimulateResumable(ctx context.Context, cfg SimConfig, path string) (*Result
 	return res, info, nil
 }
 
-// movieFlow is one movie's post-warmup routing tallies.
-type movieFlow struct {
-	arrivals, routed, shed, failovers uint64
+// routing is the churn configuration of Simulate's routing pass: the
+// placement under a static workload at TotalRate, with the outage
+// faults and the controller off.
+func (c SimConfig) routing() ChurnConfig {
+	return ChurnConfig{
+		Placement:     c.Placement,
+		Workload:      workload.DynamicWorkload{Movies: c.Movies, BaseRate: c.TotalRate},
+		Horizon:       c.Horizon,
+		Warmup:        c.Warmup,
+		Seed:          c.Seed,
+		Faults:        c.Faults,
+		ControllerOff: true,
+	}
 }
 
-// Routing event classes, in tie-break priority order at equal
-// timestamps (node transitions before traffic, departures before
-// arrivals so a slot frees before the next request lands).
-const (
-	evDown uint8 = iota
-	evUp
-	evDeparture
-	evArrival
-)
-
-// routeDemand runs the routing layer: a sequential Monte Carlo pass
-// over merged per-movie Poisson arrival streams, node outage
-// transitions and viewer departures (which release live-load slots).
-// It is deterministic for a fixed configuration — the event order is a
-// pure function of the seeded generators and the kernel's (time, class,
-// seq) order — and independent of the per-node simulations.
-func routeDemand(cfg SimConfig, movieRates []float64) ([]movieFlow, uint64, error) {
-	router, err := NewRouter(cfg.Placement, cfg.Seed)
+// routingPass runs Simulate's routing pass on the churn engine, with
+// every node's stream budget lifted out of reach: the pass models
+// failover and shedding around outages, not capacity, so every measured
+// arrival is either routed or shed because all its hosts are down.
+// math.MaxInt32 per node cannot overflow Router.Load's sum.
+func routingPass(ctx context.Context, cfg SimConfig) (*churnRun, error) {
+	rc := cfg.routing()
+	rc.Placement.Nodes = append([]NodeSpec(nil), rc.Placement.Nodes...)
+	for i := range rc.Placement.Nodes {
+		rc.Placement.Nodes[i].MaxStreams = math.MaxInt32
+	}
+	r, err := newChurnRun(rc)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	flows := make([]movieFlow, len(cfg.Movies))
-	var rebalances uint64
-	k := &horizonKernel{horizon: cfg.Horizon, arrival: evArrival}
-	setDown := func(node string, down bool) {
-		if err := router.SetNodeDown(node, down); err != nil {
-			k.fail(err)
-		}
-	}
-	for _, f := range cfg.Faults {
-		k.at(f.At, evDown, "down", func(float64) { setDown(f.Node, true) })
-		if f.Until > f.At {
-			k.at(f.Until, evUp, "up", func(float64) { setDown(f.Node, false) })
-		}
-	}
-	for i, m := range cfg.Movies {
-		rng := rand.New(rand.NewSource(cfg.Seed ^ (int64(i+1) * 0x5E3779B97F4A7C15)))
-		var arrive func(now float64)
-		arrive = func(now float64) {
-			k.at(now+rng.ExpFloat64()/movieRates[i], evArrival, "arrival", arrive)
-			measured := now >= cfg.Warmup
-			if measured {
-				flows[i].arrivals++
-			}
-			d, err := router.Route(m.Name)
-			if err != nil {
-				if !errors.Is(err, ErrUnavailable) {
-					k.fail(err)
-				} else if measured {
-					flows[i].shed++
-				}
-				return
-			}
-			k.at(now+m.Length, evDeparture, "departure", func(float64) { router.Done(d.Node) })
-			if measured {
-				flows[i].routed++
-				if d.Failover {
-					flows[i].failovers++
-					rebalances++
-				}
-			}
-		}
-		k.at(rng.ExpFloat64()/movieRates[i], evArrival, "arrival", arrive)
-	}
-	if k.err == nil {
-		k.Run()
-	}
-	if k.err != nil {
-		return nil, 0, k.err
-	}
-	return flows, rebalances, nil
+	return r, r.run(ctx, 0, nil)
 }
 
 // simulateNodes runs one internal/sim server per node concurrently,

@@ -4,8 +4,9 @@
 // first, FIFO within a class.
 //
 // Every event engine in the repository runs on this kernel: the VOD
-// simulator (internal/sim) with its fluid backend (internal/fluid), the
-// cluster churn engine and the routing pass of cluster.Simulate.
+// simulator (internal/sim) with its fluid backend (internal/fluid) and
+// the cluster churn engine, which also runs cluster.Simulate's routing
+// pass.
 // Keeping the kernel free of domain knowledge makes its ordering
 // guarantees easy to test in isolation.
 //

@@ -165,8 +165,9 @@ type ClusterPlanResponse struct {
 	RefineMoves     int                     `json:"refineMoves,omitempty"`
 }
 
-// ClusterSimulateRequest plans and then simulates the cluster.
-type ClusterSimulateRequest struct {
+// clusterRun is the plan plus the run parameters both cluster
+// simulations take.
+type clusterRun struct {
 	ClusterPlanRequest
 	// Lambda is the cluster-wide arrival rate, split by popularity.
 	Lambda  float64 `json:"lambda"`
@@ -176,6 +177,11 @@ type ClusterSimulateRequest struct {
 	// Fail schedules node outages: "node0@400,node2@500-1500"
 	// (permanent without an end time).
 	Fail string `json:"fail,omitempty"`
+}
+
+// ClusterSimulateRequest plans and then simulates the cluster.
+type ClusterSimulateRequest struct {
+	clusterRun
 	// Engine selects every node simulation's backend ("des", "fluid" or
 	// "hybrid"; empty = des); FluidThreshold is the hybrid popularity
 	// cut. Outage-carrying nodes always run DES.
@@ -222,9 +228,11 @@ type ClusterSimulateResponse struct {
 
 // ClusterChurnRequest plans the cluster and then drives a time-varying
 // workload against it with the live rebalancing controller (or with the
-// placement frozen, for a baseline).
+// placement frozen, for a baseline). Churn runs no per-node simulations,
+// so it takes no engine settings: an "engine" or "fluidThreshold" field
+// is refused as unknown.
 type ClusterChurnRequest struct {
-	ClusterSimulateRequest
+	clusterRun
 	// Flash schedules flash crowds: "m01@300:4" or
 	// "m01@300:4:10:60:30" (movie@at:peak[:ramp[:hold[:decay]]]).
 	Flash string `json:"flash,omitempty"`

@@ -171,6 +171,23 @@ func TestClusterChurnErrors(t *testing.T) {
 	}
 }
 
+// TestClusterChurnRefusesEngineSettings: churn runs no per-node
+// simulations, so the simulate endpoint's engine settings are unknown
+// fields on a churn request — refused, not silently ignored.
+func TestClusterChurnRefusesEngineSettings(t *testing.T) {
+	srv := clusterServer(t)
+	const base = `"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 300, "warmup": 30`
+	if resp, body := postJSON(t, srv, "/v1/cluster/churn", "{"+base+"}"); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request without engine settings: status %d: %s", resp.StatusCode, body)
+	}
+	for _, field := range []string{`"engine": "bogus"`, `"fluidThreshold": 5`} {
+		resp, body := postJSON(t, srv, "/v1/cluster/churn", "{"+base+", "+field+"}")
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "unknown field") {
+			t.Errorf("%s: status %d: %s, want 400 unknown field", field, resp.StatusCode, body)
+		}
+	}
+}
+
 func TestStatuszReportsLastChurn(t *testing.T) {
 	srv := clusterServer(t)
 	if st := getStatus(t, srv).Cluster; st.ChurnRequests != 0 || st.LastChurn != nil {

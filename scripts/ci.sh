@@ -14,7 +14,10 @@
 # smoke plans Example 1 onto three nodes and runs a short failover
 # simulation; a churn smoke drives a flash crowd through the live
 # rebalancing controller; a gray smoke drives a slow disk and a
-# brownout through the hedged router; a fluid smoke sweeps the scale
+# brownout through the hedged router; a vodperf smoke builds the frozen
+# benchmark program and runs its traced churn_blind workload once,
+# which calls the router and churn entry points it depends on and
+# checks their output; a fluid smoke sweeps the scale
 # experiment (fluid backend up to ~12M concurrent viewers with DES
 # comparison rungs); a bench-regression stage replays the quick
 # experiment sweep against the recorded BENCH_sweeps.json baseline and
@@ -109,6 +112,17 @@ go run ./cmd/vodcluster churn -nodes 4 -movies 6 -node-streams 300 \
     -gray "slow:node0@200-600:12,brownout:node2@300-700:0.4" \
     -policy hedge -horizon 900 -warmup 100 -seed 7 >/dev/null
 echo "ci: gray smoke passed"
+
+# --- vodperf smoke: the traced churn_blind run calls NewRouter,
+# RouteLoad, RouteGray, Release, ReleaseDisk, SetGrayPolicy and both
+# churn scenarios directly, and vodperf exits 1 when any output check
+# fails. It writes only the git-ignored .bench_build/; bench/ stays
+# untouched ---
+perf=$(mktemp -d)
+(cd bench && go build -o "$perf/vodperf" ./vodperf)
+"$perf/vodperf" -workload churn_blind -seconds 1 -trace 1 -json "$perf/r.json" >/dev/null
+rm -rf "$perf"
+echo "ci: vodperf smoke passed"
 
 # --- fluid smoke: the scale sweep runs the fluid backend from the
 # paper's λ=0.5/min up to ten-million-viewer rungs, with DES comparison
