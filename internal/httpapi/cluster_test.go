@@ -154,20 +154,43 @@ func TestClusterChurnEndpoint(t *testing.T) {
 
 func TestClusterChurnErrors(t *testing.T) {
 	srv := clusterServer(t)
+	// Two Zipf titles pack onto two auto-sized nodes, so every case
+	// reaches the check it names instead of failing placement first.
 	cases := []struct {
-		name, body string
+		name, body, want string
 	}{
-		{"bad flash spec", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "flash": "bogus"}`},
-		{"unknown flash movie", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "flash": "m99@100:4"}`},
-		{"horizon cap", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 60000}`},
-		{"zero lambda", `{"zipfMovies": 3, "nodes": 2, "horizon": 500}`},
-		{"bad fail spec", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "fail": "bogus"}`},
+		{"bad flash spec", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "flash": "bogus"}`,
+			`bad flash crowd "bogus"`},
+		{"unknown flash movie", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "flash": "m99@100:4"}`,
+			`flash crowd targets unknown movie "m99"`},
+		{"horizon cap", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 60000}`,
+			`horizon 60000 exceeds the service cap 50000`},
+		{"zero lambda", `{"zipfMovies": 2, "nodes": 2, "horizon": 500}`,
+			`base rate 0`},
+		{"bad fail spec", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "fail": "bogus"}`,
+			`bad fault "bogus"`},
 	}
 	for _, c := range cases {
-		resp, body := postJSON(t, srv, "/v1/cluster/churn", c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", c.name, resp.StatusCode, body)
-		}
+		postWantError(t, srv, "/v1/cluster/churn", c.name, c.body, c.want)
+	}
+}
+
+// postWantError posts body and requires a 400 whose error text
+// contains want.
+func postWantError(t *testing.T, srv *httptest.Server, path, name, body, want string) {
+	t.Helper()
+	resp, raw := postJSON(t, srv, path, body)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, raw)
+		return
+	}
+	var e ErrorResponse
+	if err := json.Unmarshal(raw, &e); err != nil {
+		t.Errorf("%s: decode error body: %v: %s", name, err, raw)
+		return
+	}
+	if !strings.Contains(e.Error, want) {
+		t.Errorf("%s: error %q, want it to contain %q", name, e.Error, want)
 	}
 }
 
@@ -218,25 +241,27 @@ func TestStatuszReportsLastChurn(t *testing.T) {
 func TestClusterEndpointErrors(t *testing.T) {
 	srv := clusterServer(t)
 	cases := []struct {
-		name, path, body string
+		name, path, body, want string
 	}{
-		{"no catalog", "/v1/cluster/plan", `{"nodes": 2}`},
-		{"zero nodes", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 0}`},
-		{"too many nodes", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 1000}`},
-		{"catalog cap", "/v1/cluster/plan", `{"zipfMovies": 100000, "nodes": 2}`},
-		{"one-sided budget", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 2, "nodeStreams": 50}`},
-		{"horizon cap", "/v1/cluster/simulate", `{"zipfMovies": 3, "nodes": 8, "lambda": 1, "horizon": 20000}`},
-		{"bad fail spec", "/v1/cluster/simulate", `{"zipfMovies": 3, "nodes": 2, "lambda": 1, "horizon": 500, "fail": "bogus"}`},
-		{"unknown fail node", "/v1/cluster/simulate", `{"zipfMovies": 3, "nodes": 2, "lambda": 1, "horizon": 500, "fail": "node9@100"}`},
+		{"no catalog", "/v1/cluster/plan", `{"nodes": 2}`,
+			`give movies or zipfMovies`},
+		{"zero nodes", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 0}`,
+			`nodes 0 outside [1, 64]`},
+		{"too many nodes", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 1000}`,
+			`nodes 1000 outside [1, 64]`},
+		{"catalog cap", "/v1/cluster/plan", `{"zipfMovies": 100000, "nodes": 2}`,
+			`zipfMovies 100000 exceeds the service cap 256`},
+		{"one-sided budget", "/v1/cluster/plan", `{"zipfMovies": 3, "nodes": 2, "nodeStreams": 50}`,
+			`give both nodeStreams and nodeBuffer, or neither`},
+		{"horizon cap", "/v1/cluster/simulate", `{"zipfMovies": 3, "nodes": 8, "lambda": 1, "horizon": 20000}`,
+			`horizon 20000 × 8 nodes exceeds the service cap 50000`},
+		{"bad fail spec", "/v1/cluster/simulate", `{"zipfMovies": 2, "nodes": 2, "lambda": 1, "horizon": 500, "fail": "bogus"}`,
+			`bad fault "bogus"`},
+		{"unknown fail node", "/v1/cluster/simulate", `{"zipfMovies": 2, "nodes": 2, "lambda": 1, "horizon": 500, "fail": "node9@100"}`,
+			`fault targets unknown node "node9"`},
 	}
 	for _, c := range cases {
-		resp, body := postJSON(t, srv, c.path, c.body)
-		if resp.StatusCode != http.StatusBadRequest && resp.StatusCode != http.StatusUnprocessableEntity {
-			t.Errorf("%s: status %d, want 4xx error: %s", c.name, resp.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "error") {
-			t.Errorf("%s: no error body: %s", c.name, body)
-		}
+		postWantError(t, srv, c.path, c.name, c.body, c.want)
 	}
 }
 
@@ -317,17 +342,18 @@ func TestClusterChurnGray(t *testing.T) {
 func TestClusterChurnGrayErrors(t *testing.T) {
 	srv := clusterServer(t)
 	cases := []struct {
-		name, body string
+		name, body, want string
 	}{
-		{"bad gray spec", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "bogus"}`},
-		{"unknown gray node", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "slow:node9@100:4"}`},
-		{"bad policy", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "policy": "psychic"}`},
-		{"bad brownout fraction", `{"zipfMovies": 3, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "brownout:node0@100:1.5"}`},
+		{"bad gray spec", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "bogus"}`,
+			`gray fault "bogus" wants kind:node@start[-end]:factor`},
+		{"unknown gray node", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "slow:node9@100:4"}`,
+			`gray fault targets unknown node "node9"`},
+		{"bad policy", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "policy": "psychic"}`,
+			`unknown routing policy "psychic"`},
+		{"bad brownout fraction", `{"zipfMovies": 2, "nodes": 2, "lambda": 0.5, "horizon": 500, "gray": "brownout:node0@100:1.5"}`,
+			`brownout fraction 1.5 outside (0, 1]`},
 	}
 	for _, c := range cases {
-		resp, body := postJSON(t, srv, "/v1/cluster/churn", c.body)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400: %s", c.name, resp.StatusCode, body)
-		}
+		postWantError(t, srv, "/v1/cluster/churn", c.name, c.body, c.want)
 	}
 }
