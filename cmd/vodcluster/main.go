@@ -26,15 +26,12 @@ import (
 	"vodalloc/internal/cluster"
 	"vodalloc/internal/sim"
 	"vodalloc/internal/sizing"
-	"vodalloc/internal/vcr"
 	"vodalloc/internal/workload"
 )
 
 // phi is the buffer-to-stream price ratio of the paper's Example 2
 // hardware ($750/$70 ≈ 11); relative cost = φ·ΣB + Σn.
 const phi = 11.0
-
-var paperRates = vcr.Rates{PB: 1, FF: 3, RW: 3}
 
 func main() {
 	args := os.Args[1:]
@@ -103,59 +100,24 @@ func (c catalogFlags) load() ([]workload.Movie, error) {
 	}
 }
 
-// clusterFlags is the node/placement shape shared by every subcommand.
-type clusterFlags struct {
-	nodes       *int
-	nodeStreams *int
-	nodeBuffer  *float64
-	headroom    *float64
-	replicas    *int
-	hot         *int
-	par         *int
-}
-
-func addClusterFlags(fs *flag.FlagSet) clusterFlags {
-	return clusterFlags{
-		nodes:       fs.Int("nodes", 3, "node count"),
-		nodeStreams: fs.Int("node-streams", 0, "per-node stream budget n_s (0 = auto-size)"),
-		nodeBuffer:  fs.Float64("node-buffer", 0, "per-node buffer budget B_s, movie-minutes (0 = auto-size)"),
-		headroom:    fs.Float64("headroom", 1.3, "auto-sizing slack factor"),
-		replicas:    fs.Int("replicas", 1, "copies per hot movie (1 = no replication)"),
-		hot:         fs.Int("hot", 0, "how many top-popularity movies replicate (0 = all, when -replicas > 1)"),
-		par:         fs.Int("parallel", 0, "worker bound for sizing and per-node simulations (0 = GOMAXPROCS)"),
-	}
-}
-
-func (c clusterFlags) opts() cluster.Options {
-	return cluster.Options{Replicas: *c.replicas, HotMovies: *c.hot}
-}
-
-// plan sizes the catalog and packs it onto count nodes per the flags.
-func (c clusterFlags) plan(ctx context.Context, movies []workload.Movie, count int) (cluster.Placement, []cluster.MovieAlloc, error) {
-	sizing.Default.Workers = *c.par
-	allocs, err := cluster.Demands(ctx, nil, movies, sizing.DefaultRates)
-	if err != nil {
-		return cluster.Placement{}, nil, err
-	}
-	var nodes []cluster.NodeSpec
-	if *c.nodeStreams > 0 && *c.nodeBuffer > 0 {
-		nodes = cluster.UniformNodes(count, *c.nodeStreams, *c.nodeBuffer)
-	} else if *c.nodeStreams > 0 || *c.nodeBuffer > 0 {
-		return cluster.Placement{}, nil, fmt.Errorf("give both -node-streams and -node-buffer, or neither")
-	} else {
-		nodes = cluster.AutoNodes(count, allocs, c.opts(), *c.headroom)
-	}
-	p, err := cluster.PackAllocs(allocs, nodes, c.opts())
-	if err != nil {
-		return cluster.Placement{}, nil, err
-	}
-	return p, allocs, nil
+// addPlanFlags binds the node/placement shape flags shared by every
+// subcommand into s, and registers -parallel, the worker bound for
+// sizing and per-node simulations.
+func addPlanFlags(fs *flag.FlagSet, s *cluster.PlanSpec) *int {
+	fs.IntVar(&s.Nodes, "nodes", 3, "node count")
+	fs.IntVar(&s.NodeStreams, "node-streams", 0, "per-node stream budget n_s (0 = auto-size)")
+	fs.Float64Var(&s.NodeBuffer, "node-buffer", 0, "per-node buffer budget B_s, movie-minutes (0 = auto-size)")
+	fs.Float64Var(&s.Headroom, "headroom", 1.3, "auto-sizing slack factor")
+	fs.IntVar(&s.Replicas, "replicas", 1, "copies per hot movie (1 = no replication)")
+	fs.IntVar(&s.HotMovies, "hot", 0, "how many top-popularity movies replicate (0 = all, when -replicas > 1)")
+	return fs.Int("parallel", 0, "worker bound for sizing and per-node simulations (0 = GOMAXPROCS)")
 }
 
 func runPlan(args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
+	var spec cluster.PlanSpec
 	cat := addCatalogFlags(fs)
-	cf := addClusterFlags(fs)
+	par := addPlanFlags(fs, &spec)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -163,7 +125,8 @@ func runPlan(args []string) error {
 	if err != nil {
 		return err
 	}
-	p, _, err := cf.plan(context.Background(), movies, *cf.nodes)
+	sizing.Default.Workers = *par
+	p, err := cluster.Plan(context.Background(), nil, movies, spec)
 	if err != nil {
 		return err
 	}
@@ -205,63 +168,42 @@ func printPlan(p cluster.Placement, movies []workload.Movie) {
 	}
 }
 
-// simFlags are the load/horizon knobs shared by simulate, sweep and
-// churn, plus the per-node simulation backend knobs that only simulate
-// and sweep register (see addNodeSimFlags).
-type simFlags struct {
-	lambda         *float64
-	horizon        *float64
-	warmup         *float64
-	seed           *int64
-	resume         *string
-	engine         *string
-	fluidThreshold *float64
-	particleRate   *float64
+// addRunFlags binds the load/horizon flags shared by simulate, sweep
+// and churn into s, and registers -resume, the checkpoint directory.
+func addRunFlags(fs *flag.FlagSet, s *cluster.RunSpec) *string {
+	fs.Float64Var(&s.Lambda, "lambda", 1.5, "cluster-wide Poisson arrival rate, viewers/minute")
+	fs.Float64Var(&s.Horizon, "horizon", 3000, "simulated minutes")
+	fs.Float64Var(&s.Warmup, "warmup", -1, "measurement warmup, minutes (-1 = horizon/10)")
+	fs.Int64Var(&s.Seed, "seed", 1, "random seed")
+	return fs.String("resume", "", "checkpoint directory: journal per-node rows there and resume a killed run")
 }
 
-func addSimFlags(fs *flag.FlagSet) simFlags {
-	return simFlags{
-		lambda:  fs.Float64("lambda", 1.5, "cluster-wide Poisson arrival rate, viewers/minute"),
-		horizon: fs.Float64("horizon", 3000, "simulated minutes"),
-		warmup:  fs.Float64("warmup", -1, "measurement warmup, minutes (-1 = horizon/10)"),
-		seed:    fs.Int64("seed", 1, "random seed"),
-		resume:  fs.String("resume", "", "checkpoint directory: journal per-node rows there and resume a killed run"),
-	}
-}
-
-// addNodeSimFlags is addSimFlags plus the per-node simulation backend
+// addSimFlags is addRunFlags plus the per-node simulation backend
 // flags, for the subcommands that run per-node simulations.
-func addNodeSimFlags(fs *flag.FlagSet) simFlags {
-	s := addSimFlags(fs)
-	s.engine = fs.String("engine", "des", "per-node simulation backend: des|fluid|hybrid")
-	s.fluidThreshold = fs.Float64("fluid-threshold", 0,
+func addSimFlags(fs *flag.FlagSet, s *cluster.SimSpec) *string {
+	resume := addRunFlags(fs, &s.RunSpec)
+	fs.StringVar(&s.Engine, "engine", "des", "per-node simulation backend: des|fluid|hybrid")
+	fs.Float64Var(&s.FluidThreshold, "fluid-threshold", 0,
 		"hybrid mode: per-movie arrival rate at or above which a copy runs fluid")
-	s.particleRate = fs.Float64("particle-rate", 0, "fluid shadow-viewer rate per minute (0 = default)")
-	return s
+	fs.Float64Var(&s.ParticleRate, "particle-rate", 0, "fluid shadow-viewer rate per minute (0 = default)")
+	return resume
 }
 
-func (s simFlags) warmupVal() float64 {
-	if *s.warmup >= 0 {
-		return *s.warmup
+// applyDefaults applies -parallel to sizing and -warmup's default
+// (below zero is horizon/10) before a run's config is built.
+func applyDefaults(s *cluster.RunSpec, workers int) {
+	sizing.Default.Workers = workers
+	if !(s.Warmup >= 0) {
+		s.Warmup = s.Horizon / 10
 	}
-	return *s.horizon / 10
 }
 
-func (s simFlags) config(p cluster.Placement, movies []workload.Movie, workers int, faults []cluster.NodeFault) cluster.SimConfig {
-	return cluster.SimConfig{
-		Placement:      p,
-		Movies:         movies,
-		Rates:          paperRates,
-		TotalRate:      *s.lambda,
-		Horizon:        *s.horizon,
-		Warmup:         s.warmupVal(),
-		Seed:           *s.seed,
-		Workers:        workers,
-		Faults:         faults,
-		Engine:         sim.Engine(*s.engine),
-		FluidThreshold: *s.fluidThreshold,
-		ParticleRate:   *s.particleRate,
-	}
+// simConfig builds one cluster simulation's config from the flags.
+func simConfig(spec cluster.SimSpec, movies []workload.Movie, workers int) (cluster.SimConfig, error) {
+	applyDefaults(&spec.RunSpec, workers)
+	cfg, err := spec.Config(context.Background(), nil, movies)
+	cfg.Workers = workers
+	return cfg, err
 }
 
 // runClusterSim dispatches one cluster simulation, journaling per-node
@@ -286,10 +228,11 @@ func runClusterSim(ctx context.Context, cfg cluster.SimConfig, dir, walName stri
 
 func runSimulate(args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ExitOnError)
+	var spec cluster.SimSpec
 	cat := addCatalogFlags(fs)
-	cf := addClusterFlags(fs)
-	sf := addNodeSimFlags(fs)
-	failSpec := fs.String("fail", "", `node outages: "node0@400,node2@500-1500" (permanent without -end)`)
+	par := addPlanFlags(fs, &spec.PlanSpec)
+	resume := addSimFlags(fs, &spec)
+	fs.StringVar(&spec.Fail, "fail", "", `node outages: "node0@400,node2@500-1500" (permanent without -end)`)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -297,30 +240,26 @@ func runSimulate(args []string) error {
 	if err != nil {
 		return err
 	}
-	ctx := context.Background()
-	p, _, err := cf.plan(ctx, movies, *cf.nodes)
+	cfg, err := simConfig(spec, movies, *par)
 	if err != nil {
 		return err
 	}
-	faults, err := cluster.ParseNodeFaults(*failSpec)
+	res, err := runClusterSim(context.Background(), cfg, *resume, "cluster-sim.wal")
 	if err != nil {
 		return err
 	}
-	res, err := runClusterSim(ctx, sf.config(p, movies, *cf.par, faults), *sf.resume, "cluster-sim.wal")
-	if err != nil {
-		return err
-	}
-	printPlan(p, movies)
-	fmt.Printf("simulated %g min at lambda=%g\n", *sf.horizon, *sf.lambda)
+	printPlan(cfg.Placement, movies)
+	fmt.Printf("simulated %g min at lambda=%g\n", spec.Horizon, spec.Lambda)
 	fmt.Print(res.Summary())
 	return nil
 }
 
 func runSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
+	var spec cluster.SimSpec
 	cat := addCatalogFlags(fs)
-	cf := addClusterFlags(fs)
-	sf := addNodeSimFlags(fs)
+	par := addPlanFlags(fs, &spec.PlanSpec)
+	resume := addSimFlags(fs, &spec)
 	minNodes := fs.Int("min-nodes", 1, "smallest node count")
 	maxNodes := fs.Int("max-nodes", 6, "largest node count")
 	if err := fs.Parse(args); err != nil {
@@ -336,34 +275,33 @@ func runSweep(args []string) error {
 	ctx := context.Background()
 
 	type row struct {
-		nodes int
-		p     cluster.Placement
-		res   *cluster.Result
+		p   cluster.Placement
+		res *cluster.Result
 	}
 	rows := make(map[int]row)
 	// Descending node counts: the largest cluster has the most (and
 	// cheapest, often empty) per-node rows, so a killed run has
 	// journaled progress to restore almost immediately.
 	for n := *maxNodes; n >= *minNodes; n-- {
-		p, _, err := cf.plan(ctx, movies, n)
+		spec.Nodes = n
+		cfg, err := simConfig(spec, movies, *par)
 		if err != nil {
 			return fmt.Errorf("nodes=%d: %w", n, err)
 		}
-		res, err := runClusterSim(ctx, sf.config(p, movies, *cf.par, nil), *sf.resume,
-			fmt.Sprintf("cluster-n%d.wal", n))
+		res, err := runClusterSim(ctx, cfg, *resume, fmt.Sprintf("cluster-n%d.wal", n))
 		if err != nil {
 			return fmt.Errorf("nodes=%d: %w", n, err)
 		}
-		rows[n] = row{nodes: n, p: p, res: res}
+		rows[n] = row{p: cfg.Placement, res: res}
 	}
 
-	fmt.Printf("cluster sweep: %d movies, lambda=%g, horizon=%g\n", len(movies), *sf.lambda, *sf.horizon)
+	fmt.Printf("cluster sweep: %d movies, lambda=%g, horizon=%g\n", len(movies), spec.Lambda, spec.Horizon)
 	fmt.Printf("%5s %8s %9s %9s %8s %8s %8s %10s\n",
 		"nodes", "streams", "buffer", "relcost", "P(hit)", "avail", "shed", "rebalances")
 	for n := *minNodes; n <= *maxNodes; n++ {
 		r := rows[n]
 		fmt.Printf("%5d %8d %9.1f %9.0f %8.4f %8.4f %8.4f %10d\n",
-			r.nodes, r.p.TotalStreams, r.p.TotalBuffer,
+			n, r.p.TotalStreams, r.p.TotalBuffer,
 			phi*r.p.TotalBuffer+float64(r.p.TotalStreams),
 			r.res.Hit, r.res.Availability, r.res.ShedRate, r.res.Rebalances)
 	}
@@ -378,107 +316,59 @@ func runSweep(args []string) error {
 // landing mid-rebalance — byte-identically.
 func runChurn(args []string) error {
 	fs := flag.NewFlagSet("churn", flag.ExitOnError)
+	var spec cluster.ChurnSpec
 	cat := addCatalogFlags(fs)
-	cf := addClusterFlags(fs)
-	sf := addSimFlags(fs)
-	failSpec := fs.String("fail", "", `node outages: "node0@400,node2@500-1500"`)
-	graySpec := fs.String("gray", "", `gray faults: "slow:node0@300-700:12,brownout:node2@400-800:0.4" (kind:node@start[-end]:factor)`)
-	policy := fs.String("policy", "", "routing policy under gray faults: blind|health|hedge (default blind)")
-	starveWait := fs.Float64("starve-wait", 0, "admitted waits above this count as starved, minutes (0 = default 8)")
-	evacuateDwell := fs.Float64("evacuate-dwell", 0, "drain replicas off nodes quarantined longer than this, minutes (0 = off; needs the controller)")
-	hedgeBudget := fs.Float64("hedge-budget", 0, "token-bucket burst cap on hedged dispatch (0 = unlimited)")
-	diskHealth := fs.Bool("disk-health", false, "track health and quarantine at disk granularity")
-	nodeDisks := fs.Int("node-disks", 0, `disks per node, addressable in -gray as "slow:node0:d1@..." (0 = 1)`)
-	flashSpec := fs.String("flash", "", `flash crowds: "m01@300:4" or "m01@300:4:10:60:30" (movie@at:peak[:ramp[:hold[:decay]]])`)
-	diurnalPeriod := fs.Float64("diurnal-period", 0, "diurnal cycle length, minutes (0 = no diurnal swing)")
-	diurnalAmp := fs.Float64("diurnal-amp", 0.3, "diurnal amplitude in [0,1), with -diurnal-period")
+	par := addPlanFlags(fs, &spec.PlanSpec)
+	resume := addRunFlags(fs, &spec.RunSpec)
+	fs.StringVar(&spec.Fail, "fail", "", `node outages: "node0@400,node2@500-1500"`)
+	fs.StringVar(&spec.Gray, "gray", "", `gray faults: "slow:node0@300-700:12,brownout:node2@400-800:0.4" (kind:node@start[-end]:factor)`)
+	fs.StringVar(&spec.Policy, "policy", "", "routing policy under gray faults: blind|health|hedge (default blind)")
+	fs.Float64Var(&spec.StarveWait, "starve-wait", 0, "admitted waits above this count as starved, minutes (0 = default 8)")
+	fs.Float64Var(&spec.EvacuateDwell, "evacuate-dwell", 0, "drain replicas off nodes quarantined longer than this, minutes (0 = off; needs the controller)")
+	fs.Float64Var(&spec.HedgeBudget, "hedge-budget", 0, "token-bucket burst cap on hedged dispatch (0 = unlimited)")
+	fs.BoolVar(&spec.DiskHealth, "disk-health", false, "track health and quarantine at disk granularity")
+	fs.IntVar(&spec.NodeDisks, "node-disks", 0, `disks per node, addressable in -gray as "slow:node0:d1@..." (0 = 1)`)
+	fs.StringVar(&spec.Flash, "flash", "", `flash crowds: "m01@300:4" or "m01@300:4:10:60:30" (movie@at:peak[:ramp[:hold[:decay]]])`)
+	fs.Float64Var(&spec.DiurnalPeriod, "diurnal-period", 0, "diurnal cycle length, minutes (0 = no diurnal swing)")
+	fs.Float64Var(&spec.DiurnalAmp, "diurnal-amp", 0.3, "diurnal amplitude in [0,1), with -diurnal-period")
 	driftTheta1 := fs.Float64("drift-theta1", -1, "Zipf exponent drifts from -theta to this over -drift-period (<0 = no drift)")
 	driftPeriod := fs.Float64("drift-period", 0, "drift span, minutes (0 = horizon)")
 	rotate := fs.Float64("rotate", 0, "minutes per one-position popularity rank rotation (0 = none)")
 	epoch := fs.Float64("epoch", 0, "piecewise-constant rate step, minutes (0 = default)")
-	budgetMB := fs.Float64("budget-mb", 0, "total migration budget, MB (0 = unlimited)")
+	fs.Float64Var(&spec.BudgetMB, "budget-mb", 0, "total migration budget, MB (0 = unlimited)")
 	migrations := fs.Int("migrations", 0, "max concurrent migrations (0 = default 2)")
-	interval := fs.Float64("interval", 0, "controller tick interval, minutes (0 = default 15)")
+	fs.Float64Var(&spec.Interval, "interval", 0, "controller tick interval, minutes (0 = default 15)")
 	controller := fs.Bool("controller", true, "enable the rebalancing controller (false = frozen placement baseline)")
-	window := fs.Float64("window", 0, "availability-floor window, minutes (0 = 60)")
+	fs.Float64Var(&spec.Window, "window", 0, "availability-floor window, minutes (0 = 60)")
 	ckptEvery := fs.Int("checkpoint-every", 2000, "events between checkpoints, with -resume")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	spec.Frozen = !*controller
 	movies, err := cat.load()
 	if err != nil {
 		return err
 	}
 	ctx := context.Background()
-	p, _, err := cf.plan(ctx, movies, *cf.nodes)
+	applyDefaults(&spec.RunSpec, *par)
+	cfg, err := spec.Config(ctx, nil, movies)
 	if err != nil {
 		return err
 	}
-	if *nodeDisks > 1 {
-		for i := range p.Nodes {
-			p.Nodes[i].Disks = *nodeDisks
-		}
-	}
-	faults, err := cluster.ParseNodeFaults(*failSpec)
-	if err != nil {
-		return err
-	}
-	gray, err := cluster.ParseGrayFaults(*graySpec)
-	if err != nil {
-		return err
-	}
-	pol, err := cluster.ParseRoutePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	flashes, err := workload.ParseFlashCrowds(*flashSpec)
-	if err != nil {
-		return err
-	}
-	dyn := workload.DynamicWorkload{
-		Movies:   movies,
-		BaseRate: *sf.lambda,
-		Epoch:    *epoch,
-		Flashes:  flashes,
-	}
-	if *diurnalPeriod > 0 {
-		dyn.Diurnal = &workload.Diurnal{Period: *diurnalPeriod, Amplitude: *diurnalAmp}
-	}
+	cfg.Workload.Epoch = *epoch
+	cfg.Controller.MaxConcurrent = *migrations
 	if *driftTheta1 >= 0 {
 		period := *driftPeriod
 		if period <= 0 {
-			period = *sf.horizon
+			period = spec.Horizon
 		}
-		dyn.Drift = &workload.ZipfDrift{Theta0: *cat.theta, Theta1: *driftTheta1, Period: period, Rotate: *rotate}
+		cfg.Workload.Drift = &workload.ZipfDrift{Theta0: *cat.theta, Theta1: *driftTheta1, Period: period, Rotate: *rotate}
 	} else if *rotate > 0 {
-		dyn.Drift = &workload.ZipfDrift{Theta0: *cat.theta, Theta1: *cat.theta, Period: *sf.horizon, Rotate: *rotate}
-	}
-	cfg := cluster.ChurnConfig{
-		Placement: p,
-		Workload:  dyn,
-		Horizon:   *sf.horizon,
-		Warmup:    sf.warmupVal(),
-		Seed:      *sf.seed,
-		Controller: cluster.ControllerConfig{
-			Interval:      *interval,
-			BudgetBytes:   *budgetMB * 1e6,
-			MaxConcurrent: *migrations,
-			EvacuateDwell: *evacuateDwell,
-		},
-		ControllerOff: !*controller,
-		Faults:        faults,
-		Window:        *window,
-		Gray:          gray,
-		Policy:        pol,
-		StarveWait:    *starveWait,
-		Health: cluster.HealthConfig{
-			HedgeBudget: *hedgeBudget,
-			DiskHealth:  *diskHealth,
-		},
+		cfg.Workload.Drift = &workload.ZipfDrift{Theta0: *cat.theta, Theta1: *cat.theta, Period: spec.Horizon, Rotate: *rotate}
 	}
 	var res *cluster.ChurnResult
-	if *sf.resume != "" {
-		res, err = runChurnResumable(ctx, cfg, *sf.resume, *ckptEvery)
+	if *resume != "" {
+		res, err = runChurnResumable(ctx, cfg, *resume, *ckptEvery)
 	} else {
 		res, err = cluster.RunChurn(ctx, cfg)
 	}
@@ -490,7 +380,7 @@ func runChurn(args []string) error {
 		mode = "frozen placement"
 	}
 	fmt.Printf("churn: %d movies on %d nodes, lambda=%g, horizon=%g (%s)\n",
-		len(movies), *cf.nodes, *sf.lambda, *sf.horizon, mode)
+		len(movies), spec.Nodes, spec.Lambda, spec.Horizon, mode)
 	fmt.Print(res.Summary())
 	return nil
 }

@@ -17,11 +17,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 
 	"vodalloc/internal/analytic"
 	"vodalloc/internal/checkpoint"
-	"vodalloc/internal/cliutil"
 	"vodalloc/internal/dist"
 	"vodalloc/internal/faults"
 	"vodalloc/internal/sim"
@@ -75,11 +73,11 @@ func main() {
 		fatal(fmt.Errorf("give one of -b or -w"))
 	}
 
-	dur, err := cliutil.ParseDist(*durSpec)
+	dur, err := dist.Parse(*durSpec)
 	if err != nil {
 		fatal(err)
 	}
-	think, err := cliutil.ParseDist(*thinkSpec)
+	think, err := dist.Parse(*thinkSpec)
 	if err != nil {
 		fatal(err)
 	}
@@ -104,16 +102,9 @@ func main() {
 		tracer = tw
 	}
 
-	var sched faults.Schedule
-	if *faultSpec != "" {
-		if strings.HasPrefix(*faultSpec, "rand:") {
-			sched, err = faults.ParseRandom(*faultSpec, *horizon)
-		} else {
-			sched, err = faults.Parse(*faultSpec)
-		}
-		if err != nil {
-			fatal(err)
-		}
+	sched, err := faults.ParseSchedule(*faultSpec, *horizon)
+	if err != nil {
+		fatal(err)
 	}
 
 	cfg := sim.Config{

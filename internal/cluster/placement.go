@@ -433,14 +433,3 @@ func PackAllocs(allocs []MovieAlloc, nodes []NodeSpec, o Options) (Placement, er
 	}
 	return p, nil
 }
-
-// Plan sizes the catalog (Demands) and packs it onto the nodes
-// (PackAllocs) in one call — the planner entry point the CLI, the HTTP
-// API and the experiments share.
-func Plan(ctx context.Context, eval *sizing.Evaluator, movies []workload.Movie, r sizing.Rates, nodes []NodeSpec, o Options) (Placement, error) {
-	allocs, err := Demands(ctx, eval, movies, r)
-	if err != nil {
-		return Placement{}, err
-	}
-	return PackAllocs(allocs, nodes, o)
-}

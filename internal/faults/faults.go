@@ -335,9 +335,19 @@ func Random(seed int64, horizon, mtbf, mttr float64, disks int) (Schedule, error
 	return out.Sorted(), nil
 }
 
-// ParseRandom builds a Random schedule from a "rand:seed:mtbf:mttr:disks"
+// ParseSchedule parses either form of a fault spec: a
+// "rand:seed:mtbf:mttr:disks" spec draws a Random schedule over
+// [0, horizon); anything else is Parse syntax.
+func ParseSchedule(spec string, horizon float64) (Schedule, error) {
+	if strings.HasPrefix(spec, "rand:") {
+		return parseRandom(spec, horizon)
+	}
+	return Parse(spec)
+}
+
+// parseRandom builds a Random schedule from a "rand:seed:mtbf:mttr:disks"
 // spec, using horizon as the timeline length.
-func ParseRandom(spec string, horizon float64) (Schedule, error) {
+func parseRandom(spec string, horizon float64) (Schedule, error) {
 	parts := strings.Split(spec, ":")
 	if len(parts) != 5 || parts[0] != "rand" {
 		return nil, fmt.Errorf("%w: %q wants rand:seed:mtbf:mttr:disks", ErrBadSchedule, spec)

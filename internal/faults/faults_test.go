@@ -161,17 +161,17 @@ func TestRandomValidation(t *testing.T) {
 }
 
 func TestParseRandom(t *testing.T) {
-	s, err := ParseRandom("rand:7:800:120:4", 5000)
+	s, err := ParseSchedule("rand:7:800:120:4", 5000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := Random(7, 5000, 800, 120, 4)
 	if !reflect.DeepEqual(s, want) {
-		t.Error("ParseRandom disagrees with Random")
+		t.Error("ParseSchedule disagrees with Random")
 	}
 	for _, bad := range []string{"rand:7:800:120", "rnd:7:800:120:4", "rand:x:800:120:4"} {
-		if _, err := ParseRandom(bad, 5000); !errors.Is(err, ErrBadSchedule) {
-			t.Errorf("ParseRandom(%q): want ErrBadSchedule, got %v", bad, err)
+		if _, err := parseRandom(bad, 5000); !errors.Is(err, ErrBadSchedule) {
+			t.Errorf("parseRandom(%q): want ErrBadSchedule, got %v", bad, err)
 		}
 	}
 }

@@ -41,19 +41,11 @@ type ConfigJSON struct {
 	RateRW float64 `json:"rateRW,omitempty"`
 }
 
-// ProfileJSON is the VCR behaviour in requests; distribution fields use
-// the dist.Parse syntax. The probabilities default to the paper's
-// 0.2/0.2/0.6 mix when all zero; Think defaults to "exp:15".
-type ProfileJSON struct {
-	PFF    float64 `json:"pff,omitempty"`
-	PRW    float64 `json:"prw,omitempty"`
-	PPAU   float64 `json:"ppau,omitempty"`
-	Dur    string  `json:"dur,omitempty"`
-	DurFF  string  `json:"durFF,omitempty"`
-	DurRW  string  `json:"durRW,omitempty"`
-	DurPAU string  `json:"durPAU,omitempty"`
-	Think  string  `json:"think,omitempty"`
-}
+// ProfileJSON is the VCR behaviour in requests (see
+// workload.ProfileSpec). The probabilities default to the paper's
+// 0.2/0.2/0.6 mix when all zero, Dur to "gamma:2:4" and Think to
+// "exp:15".
+type ProfileJSON workload.ProfileSpec
 
 // HitRequest asks for the hit probabilities of one configuration.
 type HitRequest struct {

@@ -7,9 +7,7 @@ import (
 	"sync/atomic"
 
 	"vodalloc/internal/cluster"
-	"vodalloc/internal/sim"
 	"vodalloc/internal/sizing"
-	"vodalloc/internal/vcr"
 	"vodalloc/internal/workload"
 )
 
@@ -115,25 +113,21 @@ type ChurnLastRun struct {
 	DiskQuarantines uint64 `json:"diskQuarantines"`
 }
 
-// ClusterPlanRequest asks for a multi-node placement. The catalog is
-// either explicit (movies) or generated (zipfMovies/zipfTheta).
-type ClusterPlanRequest struct {
+// clusterCatalog is every cluster request's movie source: explicit
+// movies, or a generated Zipf catalog.
+type clusterCatalog struct {
 	Movies []workload.MovieSpec `json:"movies,omitempty"`
 	// ZipfMovies generates an N-movie Zipf catalog when Movies is
 	// empty; ZipfTheta defaults to 0.8.
 	ZipfMovies int     `json:"zipfMovies,omitempty"`
 	ZipfTheta  float64 `json:"zipfTheta,omitempty"`
-	// Nodes is the node count; NodeStreams/NodeBuffer fix each node's
-	// (n_s, B_s) budget, or both zero auto-sizes with Headroom slack
-	// (default 1.3).
-	Nodes       int     `json:"nodes"`
-	NodeStreams int     `json:"nodeStreams,omitempty"`
-	NodeBuffer  float64 `json:"nodeBuffer,omitempty"`
-	Headroom    float64 `json:"headroom,omitempty"`
-	// Replicas copies each of the HotMovies most popular movies
-	// (0 hot = all, when replicas > 1).
-	Replicas  int `json:"replicas,omitempty"`
-	HotMovies int `json:"hotMovies,omitempty"`
+}
+
+// ClusterPlanRequest asks for a multi-node placement of the catalog
+// (see cluster.PlanSpec for the node shape).
+type ClusterPlanRequest struct {
+	clusterCatalog
+	cluster.PlanSpec
 }
 
 // ClusterAssignmentJSON is one placed movie copy.
@@ -165,28 +159,12 @@ type ClusterPlanResponse struct {
 	RefineMoves     int                     `json:"refineMoves,omitempty"`
 }
 
-// clusterRun is the plan plus the run parameters both cluster
-// simulations take.
-type clusterRun struct {
-	ClusterPlanRequest
-	// Lambda is the cluster-wide arrival rate, split by popularity.
-	Lambda  float64 `json:"lambda"`
-	Horizon float64 `json:"horizon,omitempty"` // default 3000; horizon×nodes capped
-	Warmup  float64 `json:"warmup,omitempty"`  // default horizon/10
-	Seed    int64   `json:"seed,omitempty"`
-	// Fail schedules node outages: "node0@400,node2@500-1500"
-	// (permanent without an end time).
-	Fail string `json:"fail,omitempty"`
-}
-
-// ClusterSimulateRequest plans and then simulates the cluster.
+// ClusterSimulateRequest plans and then simulates the cluster
+// (see cluster.SimSpec); horizon defaults to 3000 and warmup to
+// horizon/10, and horizon×nodes is capped.
 type ClusterSimulateRequest struct {
-	clusterRun
-	// Engine selects every node simulation's backend ("des", "fluid" or
-	// "hybrid"; empty = des); FluidThreshold is the hybrid popularity
-	// cut. Outage-carrying nodes always run DES.
-	Engine         string  `json:"engine,omitempty"`
-	FluidThreshold float64 `json:"fluidThreshold,omitempty"`
+	clusterCatalog
+	cluster.SimSpec
 }
 
 // ClusterSimNodeJSON is one node's simulated outcome.
@@ -228,47 +206,14 @@ type ClusterSimulateResponse struct {
 
 // ClusterChurnRequest plans the cluster and then drives a time-varying
 // workload against it with the live rebalancing controller (or with the
-// placement frozen, for a baseline). Churn runs no per-node simulations,
-// so it takes no engine settings: an "engine" or "fluidThreshold" field
-// is refused as unknown.
+// placement frozen, for a baseline; see cluster.ChurnSpec). Defaults
+// are those of ClusterSimulateRequest plus diurnalAmp 0.3, and the
+// horizon and nodeDisks are capped. Churn runs no per-node
+// simulations, so it takes no engine settings: an "engine" or
+// "fluidThreshold" field is refused as unknown.
 type ClusterChurnRequest struct {
-	clusterRun
-	// Flash schedules flash crowds: "m01@300:4" or
-	// "m01@300:4:10:60:30" (movie@at:peak[:ramp[:hold[:decay]]]).
-	Flash string `json:"flash,omitempty"`
-	// DiurnalPeriod/DiurnalAmp add a sinusoidal rate swing.
-	DiurnalPeriod float64 `json:"diurnalPeriod,omitempty"`
-	DiurnalAmp    float64 `json:"diurnalAmp,omitempty"`
-	// BudgetMB caps total migration traffic (0 = unlimited).
-	BudgetMB float64 `json:"budgetMB,omitempty"`
-	// Interval is the controller cadence in minutes (0 = default).
-	Interval float64 `json:"interval,omitempty"`
-	// Frozen disables the controller: the placement never changes.
-	Frozen bool `json:"frozen,omitempty"`
-	// Window is the availability-floor window in minutes (0 = 60).
-	Window float64 `json:"window,omitempty"`
-	// Gray schedules gray faults:
-	// "slow:node0@300-700:12,brownout:node2@400-800:0.4"
-	// (kind:node@start[-end]:factor; kinds slow|jitter|brownout).
-	Gray string `json:"gray,omitempty"`
-	// Policy picks the routing policy under gray faults:
-	// blind|health|hedge (default blind).
-	Policy string `json:"policy,omitempty"`
-	// StarveWait counts admitted waits above this many minutes as
-	// starved (0 = default 8).
-	StarveWait float64 `json:"starveWait,omitempty"`
-	// EvacuateDwell drains replicas off nodes stuck in Quarantine
-	// longer than this many minutes (0 = off; needs the controller).
-	EvacuateDwell float64 `json:"evacuateDwell,omitempty"`
-	// HedgeBudget caps hedged dispatch with a token bucket of this
-	// burst size, refilled at a rate scaled by fleet-wide health
-	// (0 = unlimited).
-	HedgeBudget float64 `json:"hedgeBudget,omitempty"`
-	// DiskHealth tracks health and quarantines at disk granularity.
-	DiskHealth bool `json:"diskHealth,omitempty"`
-	// NodeDisks gives every planned node this many disks, addressable
-	// in gray specs as "slow:node0:d1@..." (0 = 1 disk).
-	NodeDisks int `json:"nodeDisks,omitempty"`
+	clusterCatalog
+	cluster.ChurnSpec
 }
 
 // ClusterChurnResponse reports the run's availability, typed sheds and
@@ -315,56 +260,33 @@ type ClusterChurnResponse struct {
 	NodeHealth         []cluster.NodeHealthInfo `json:"nodeHealth,omitempty"`
 }
 
-// clusterCatalog materializes the request's movie source.
-func (r ClusterPlanRequest) clusterCatalog() ([]workload.Movie, error) {
-	if len(r.Movies) > 0 {
-		return specsToMovies(r.Movies)
+// movies checks the service's node cap and materializes the catalog.
+func (c clusterCatalog) movies(nodes int) ([]workload.Movie, error) {
+	if nodes < 1 || nodes > maxClusterNodes {
+		return nil, fmt.Errorf("nodes %d outside [1, %d]", nodes, maxClusterNodes)
 	}
-	if r.ZipfMovies <= 0 {
+	if len(c.Movies) > 0 {
+		return specsToMovies(c.Movies)
+	}
+	if c.ZipfMovies <= 0 {
 		return nil, fmt.Errorf("give movies or zipfMovies")
 	}
-	if r.ZipfMovies > maxZipfMovies {
-		return nil, fmt.Errorf("zipfMovies %d exceeds the service cap %d", r.ZipfMovies, maxZipfMovies)
+	if c.ZipfMovies > maxZipfMovies {
+		return nil, fmt.Errorf("zipfMovies %d exceeds the service cap %d", c.ZipfMovies, maxZipfMovies)
 	}
-	theta := r.ZipfTheta
+	theta := c.ZipfTheta
 	if theta == 0 {
 		theta = 0.8
 	}
-	return workload.ZipfCatalog(r.ZipfMovies, theta)
-}
-
-// clusterPlan sizes the catalog on eval and packs it per the request.
-func (r ClusterPlanRequest) clusterPlan(ctx context.Context, eval *sizing.Evaluator) (cluster.Placement, []workload.Movie, error) {
-	if r.Nodes < 1 || r.Nodes > maxClusterNodes {
-		return cluster.Placement{}, nil, fmt.Errorf("nodes %d outside [1, %d]", r.Nodes, maxClusterNodes)
-	}
-	movies, err := r.clusterCatalog()
-	if err != nil {
-		return cluster.Placement{}, nil, err
-	}
-	allocs, err := cluster.Demands(ctx, eval, movies, sizing.DefaultRates)
-	if err != nil {
-		return cluster.Placement{}, nil, err
-	}
-	opts := cluster.Options{Replicas: r.Replicas, HotMovies: r.HotMovies}
-	var nodes []cluster.NodeSpec
-	switch {
-	case r.NodeStreams > 0 && r.NodeBuffer > 0:
-		nodes = cluster.UniformNodes(r.Nodes, r.NodeStreams, r.NodeBuffer)
-	case r.NodeStreams > 0 || r.NodeBuffer > 0:
-		return cluster.Placement{}, nil, fmt.Errorf("give both nodeStreams and nodeBuffer, or neither")
-	default:
-		nodes = cluster.AutoNodes(r.Nodes, allocs, opts, r.Headroom)
-	}
-	p, err := cluster.PackAllocs(allocs, nodes, opts)
-	if err != nil {
-		return cluster.Placement{}, nil, err
-	}
-	return p, movies, nil
+	return workload.ZipfCatalog(c.ZipfMovies, theta)
 }
 
 func handleClusterPlan(ctx context.Context, eval *sizing.Evaluator, req ClusterPlanRequest) (ClusterPlanResponse, error) {
-	p, _, err := req.clusterPlan(ctx, eval)
+	movies, err := req.movies(req.Nodes)
+	if err != nil {
+		return ClusterPlanResponse{}, err
+	}
+	p, err := cluster.Plan(ctx, eval, movies, req.PlanSpec)
 	if err != nil {
 		return ClusterPlanResponse{}, err
 	}
@@ -389,38 +311,21 @@ func handleClusterPlan(ctx context.Context, eval *sizing.Evaluator, req ClusterP
 }
 
 func handleClusterSimulate(ctx context.Context, eval *sizing.Evaluator, req ClusterSimulateRequest) (ClusterSimulateResponse, error) {
-	horizon := req.Horizon
-	if horizon == 0 {
-		horizon = 3000
-	}
-	if req.Nodes > 0 && horizon*float64(req.Nodes) > maxSimHorizon {
+	spec := req.SimSpec
+	spec.Horizon, spec.Warmup = defaultSpan(spec.Horizon, spec.Warmup)
+	if spec.Nodes > 0 && spec.Horizon*float64(spec.Nodes) > maxSimHorizon {
 		return ClusterSimulateResponse{}, fmt.Errorf("horizon %g × %d nodes exceeds the service cap %d",
-			horizon, req.Nodes, maxSimHorizon)
+			spec.Horizon, spec.Nodes, maxSimHorizon)
 	}
-	warmup := req.Warmup
-	if warmup == 0 {
-		warmup = horizon / 10
-	}
-	p, movies, err := req.clusterPlan(ctx, eval)
+	movies, err := req.movies(spec.Nodes)
 	if err != nil {
 		return ClusterSimulateResponse{}, err
 	}
-	nodeFaults, err := cluster.ParseNodeFaults(req.Fail)
+	cfg, err := spec.Config(ctx, eval, movies)
 	if err != nil {
 		return ClusterSimulateResponse{}, err
 	}
-	res, err := cluster.Simulate(ctx, cluster.SimConfig{
-		Placement:      p,
-		Movies:         movies,
-		Rates:          vcr.Rates{PB: 1, FF: 3, RW: 3},
-		TotalRate:      req.Lambda,
-		Horizon:        horizon,
-		Warmup:         warmup,
-		Seed:           req.Seed,
-		Faults:         nodeFaults,
-		Engine:         sim.Engine(req.Engine),
-		FluidThreshold: req.FluidThreshold,
-	})
+	res, err := cluster.Simulate(ctx, cfg)
 	if err != nil {
 		return ClusterSimulateResponse{}, err
 	}
@@ -451,79 +356,26 @@ func handleClusterSimulate(ctx context.Context, eval *sizing.Evaluator, req Clus
 }
 
 func handleClusterChurn(ctx context.Context, eval *sizing.Evaluator, cc *ClusterCounters, req ClusterChurnRequest) (ClusterChurnResponse, error) {
-	horizon := req.Horizon
-	if horizon == 0 {
-		horizon = 3000
+	spec := req.ChurnSpec
+	spec.Horizon, spec.Warmup = defaultSpan(spec.Horizon, spec.Warmup)
+	if spec.Horizon > maxSimHorizon {
+		return ClusterChurnResponse{}, fmt.Errorf("horizon %g exceeds the service cap %d", spec.Horizon, maxSimHorizon)
 	}
-	if horizon > maxSimHorizon {
-		return ClusterChurnResponse{}, fmt.Errorf("horizon %g exceeds the service cap %d", horizon, maxSimHorizon)
+	if spec.DiurnalAmp == 0 {
+		spec.DiurnalAmp = 0.3
 	}
-	warmup := req.Warmup
-	if warmup == 0 {
-		warmup = horizon / 10
+	if spec.NodeDisks < 0 || spec.NodeDisks > maxNodeDisks {
+		return ClusterChurnResponse{}, fmt.Errorf("nodeDisks %d outside [0, %d]", spec.NodeDisks, maxNodeDisks)
 	}
-	p, movies, err := req.clusterPlan(ctx, eval)
+	movies, err := req.movies(spec.Nodes)
 	if err != nil {
 		return ClusterChurnResponse{}, err
 	}
-	if req.NodeDisks < 0 || req.NodeDisks > maxNodeDisks {
-		return ClusterChurnResponse{}, fmt.Errorf("nodeDisks %d outside [0, %d]", req.NodeDisks, maxNodeDisks)
-	}
-	if req.NodeDisks > 1 {
-		for i := range p.Nodes {
-			p.Nodes[i].Disks = req.NodeDisks
-		}
-	}
-	nodeFaults, err := cluster.ParseNodeFaults(req.Fail)
+	cfg, err := spec.Config(ctx, eval, movies)
 	if err != nil {
 		return ClusterChurnResponse{}, err
 	}
-	flashes, err := workload.ParseFlashCrowds(req.Flash)
-	if err != nil {
-		return ClusterChurnResponse{}, err
-	}
-	grayFaults, err := cluster.ParseGrayFaults(req.Gray)
-	if err != nil {
-		return ClusterChurnResponse{}, err
-	}
-	policy, err := cluster.ParseRoutePolicy(req.Policy)
-	if err != nil {
-		return ClusterChurnResponse{}, err
-	}
-	dyn := workload.DynamicWorkload{
-		Movies:   movies,
-		BaseRate: req.Lambda,
-		Flashes:  flashes,
-	}
-	if req.DiurnalPeriod > 0 {
-		amp := req.DiurnalAmp
-		if amp == 0 {
-			amp = 0.3
-		}
-		dyn.Diurnal = &workload.Diurnal{Period: req.DiurnalPeriod, Amplitude: amp}
-	}
-	res, err := cluster.RunChurn(ctx, cluster.ChurnConfig{
-		Placement: p,
-		Workload:  dyn,
-		Horizon:   horizon,
-		Warmup:    warmup,
-		Seed:      req.Seed,
-		Controller: cluster.ControllerConfig{
-			Interval:      req.Interval,
-			BudgetBytes:   req.BudgetMB * 1e6,
-			EvacuateDwell: req.EvacuateDwell,
-		},
-		ControllerOff: req.Frozen,
-		Faults:        nodeFaults,
-		Window:        req.Window,
-		Gray:          grayFaults,
-		Policy:        policy,
-		StarveWait:    req.StarveWait,
-		Health: cluster.HealthConfig{
-			HedgeBudget: req.HedgeBudget,
-			DiskHealth:  req.DiskHealth,
-		},
-	})
+	res, err := cluster.RunChurn(ctx, cfg)
 	if err != nil {
 		return ClusterChurnResponse{}, err
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
+
+	"vodalloc/internal/faults"
 )
 
 // FuzzSimulateDecode exercises the request-decoding and validation path
@@ -36,7 +38,7 @@ func FuzzSimulateDecode(f *testing.F) {
 		if _, err := req.Profile.toProfile(); err != nil {
 			return
 		}
-		if _, err := parseFaults(req.Faults, 1000); err != nil {
+		if _, err := faults.ParseSchedule(req.Faults, 1000); err != nil {
 			return
 		}
 	})

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"strings"
 
 	"vodalloc/internal/analytic"
 	"vodalloc/internal/dist"
@@ -172,45 +171,12 @@ func (c ConfigJSON) toConfig() (analytic.Config, error) {
 	return cfg, cfg.Validate()
 }
 
-// toProfile materializes a ProfileJSON with paper defaults.
+// toProfile materializes and validates a ProfileJSON, with the
+// service's duration default "gamma:2:4".
 func (p ProfileJSON) toProfile() (vcr.Profile, error) {
-	parse := func(spec, fallback string) (dist.Distribution, error) {
-		if spec == "" {
-			spec = fallback
-		}
-		if spec == "" {
-			return nil, nil
-		}
-		return dist.Parse(spec)
-	}
-	durDefault := p.Dur
-	if durDefault == "" {
-		durDefault = "gamma:2:4"
-	}
-	durFF, err := parse(p.DurFF, durDefault)
+	profile, err := workload.ProfileSpec(p).Profile("gamma:2:4")
 	if err != nil {
 		return vcr.Profile{}, err
-	}
-	durRW, err := parse(p.DurRW, durDefault)
-	if err != nil {
-		return vcr.Profile{}, err
-	}
-	durPAU, err := parse(p.DurPAU, durDefault)
-	if err != nil {
-		return vcr.Profile{}, err
-	}
-	think, err := parse(p.Think, "exp:15")
-	if err != nil {
-		return vcr.Profile{}, err
-	}
-	pff, prw, ppau := p.PFF, p.PRW, p.PPAU
-	if pff == 0 && prw == 0 && ppau == 0 {
-		pff, prw, ppau = 0.2, 0.2, 0.6
-	}
-	profile := vcr.Profile{
-		PFF: pff, PRW: prw, PPAU: ppau,
-		DurFF: durFF, DurRW: durRW, DurPAU: durPAU,
-		Think: think,
 	}
 	return profile, profile.Validate()
 }
@@ -355,16 +321,66 @@ func handleReserve(ctx context.Context, req ReserveRequest) (ReserveResponse, er
 	}, nil
 }
 
-// parseFaults turns a request's fault spec into a schedule. "rand:"
-// specs draw a seeded random schedule over the horizon.
-func parseFaults(spec string, horizon float64) (faults.Schedule, error) {
-	if spec == "" {
-		return nil, nil
+// defaultSpan applies the service's run-length defaults: horizon 0 is
+// 3000 minutes and warmup 0 is horizon/10.
+func defaultSpan(horizon, warmup float64) (float64, float64) {
+	if horizon == 0 {
+		horizon = 3000
 	}
-	if strings.HasPrefix(spec, "rand:") {
-		return faults.ParseRandom(spec, horizon)
+	if warmup == 0 {
+		warmup = horizon / 10
 	}
-	return faults.Parse(spec)
+	return horizon, warmup
+}
+
+// simConfig maps the request onto a simulator config with the service's
+// defaults, capping the horizon summed over runs replications, and
+// returns the analytic config of the model prediction beside it.
+func (r SimulateRequest) simConfig(runs int) (cfg sim.Config, model analytic.Config, err error) {
+	if model, err = r.Config.toConfig(); err != nil {
+		return cfg, model, err
+	}
+	profile, err := r.Profile.toProfile()
+	if err != nil {
+		return cfg, model, err
+	}
+	horizon, warmup := defaultSpan(r.Horizon, r.Warmup)
+	if total := horizon * float64(runs); total > maxSimHorizon {
+		if runs == 1 {
+			return cfg, model, fmt.Errorf("horizon %g exceeds the service cap %d", horizon, maxSimHorizon)
+		}
+		return cfg, model, fmt.Errorf("replications × horizon %g exceeds the service cap %d", total, maxSimHorizon)
+	}
+	sched, err := faults.ParseSchedule(r.Faults, horizon)
+	if err != nil {
+		return cfg, model, err
+	}
+	return sim.Config{
+		L: model.L, B: model.B, N: model.N,
+		Rates:          vcr.Rates{PB: model.RatePB, FF: model.RateFF, RW: model.RateRW},
+		ArrivalRate:    r.Lambda,
+		Profile:        profile,
+		Horizon:        horizon,
+		Warmup:         warmup,
+		Seed:           r.Seed,
+		Piggyback:      r.Piggyback,
+		Slew:           r.Slew,
+		TotalStreams:   r.TotalStreams,
+		Faults:         sched,
+		Engine:         sim.Engine(r.Engine),
+		FluidThreshold: r.FluidThreshold,
+		ParticleRate:   r.ParticleRate,
+	}, model, nil
+}
+
+// predictHit is the analytic model's mixed hit probability for cfg
+// under profile.
+func predictHit(ctx context.Context, cfg analytic.Config, profile vcr.Profile) (float64, error) {
+	m, err := analytic.New(cfg)
+	if err != nil {
+		return 0, err
+	}
+	return m.HitMixCtx(ctx, sizing.MixFromProfile(profile))
 }
 
 func faultSummary(fs sim.FaultStats) *FaultSummaryJSON {
@@ -387,45 +403,11 @@ func faultSummary(fs sim.FaultStats) *FaultSummaryJSON {
 }
 
 func handleSimulate(ctx context.Context, req SimulateRequest) (SimulateResponse, error) {
-	cfg, err := req.Config.toConfig()
+	cfg, model, err := req.simConfig(1)
 	if err != nil {
 		return SimulateResponse{}, err
 	}
-	profile, err := req.Profile.toProfile()
-	if err != nil {
-		return SimulateResponse{}, err
-	}
-	horizon := req.Horizon
-	if horizon == 0 {
-		horizon = 3000
-	}
-	if horizon > maxSimHorizon {
-		return SimulateResponse{}, fmt.Errorf("horizon %g exceeds the service cap %d", horizon, maxSimHorizon)
-	}
-	warmup := req.Warmup
-	if warmup == 0 {
-		warmup = horizon / 10
-	}
-	sched, err := parseFaults(req.Faults, horizon)
-	if err != nil {
-		return SimulateResponse{}, err
-	}
-	s, err := sim.New(sim.Config{
-		L: cfg.L, B: cfg.B, N: cfg.N,
-		Rates:          vcr.Rates{PB: cfg.RatePB, FF: cfg.RateFF, RW: cfg.RateRW},
-		ArrivalRate:    req.Lambda,
-		Profile:        profile,
-		Horizon:        horizon,
-		Warmup:         warmup,
-		Seed:           req.Seed,
-		Piggyback:      req.Piggyback,
-		Slew:           req.Slew,
-		TotalStreams:   req.TotalStreams,
-		Faults:         sched,
-		Engine:         sim.Engine(req.Engine),
-		FluidThreshold: req.FluidThreshold,
-		ParticleRate:   req.ParticleRate,
-	})
+	s, err := sim.New(cfg)
 	if err != nil {
 		return SimulateResponse{}, err
 	}
@@ -433,11 +415,7 @@ func handleSimulate(ctx context.Context, req SimulateRequest) (SimulateResponse,
 	if err != nil {
 		return SimulateResponse{}, err
 	}
-	model, err := analytic.New(cfg)
-	if err != nil {
-		return SimulateResponse{}, err
-	}
-	modelHit, err := model.HitMixCtx(ctx, sizing.MixFromProfile(profile))
+	modelHit, err := predictHit(ctx, model, cfg.Profile)
 	if err != nil {
 		return SimulateResponse{}, err
 	}
@@ -471,54 +449,15 @@ func handleReplicate(ctx context.Context, req ReplicateRequest) (ReplicateRespon
 	if req.Replications < 2 || req.Replications > maxReplications {
 		return ReplicateResponse{}, fmt.Errorf("replications %d outside [2, %d]", req.Replications, maxReplications)
 	}
-	cfg, err := req.Config.toConfig()
+	cfg, model, err := req.simConfig(req.Replications)
 	if err != nil {
 		return ReplicateResponse{}, err
 	}
-	profile, err := req.Profile.toProfile()
+	rep, err := sim.ReplicateCtx(ctx, cfg, req.Replications)
 	if err != nil {
 		return ReplicateResponse{}, err
 	}
-	horizon := req.Horizon
-	if horizon == 0 {
-		horizon = 3000
-	}
-	if horizon*float64(req.Replications) > maxSimHorizon {
-		return ReplicateResponse{}, fmt.Errorf("replications × horizon %g exceeds the service cap %d",
-			horizon*float64(req.Replications), maxSimHorizon)
-	}
-	warmup := req.Warmup
-	if warmup == 0 {
-		warmup = horizon / 10
-	}
-	sched, err := parseFaults(req.Faults, horizon)
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	rep, err := sim.ReplicateCtx(ctx, sim.Config{
-		L: cfg.L, B: cfg.B, N: cfg.N,
-		Rates:          vcr.Rates{PB: cfg.RatePB, FF: cfg.RateFF, RW: cfg.RateRW},
-		ArrivalRate:    req.Lambda,
-		Profile:        profile,
-		Horizon:        horizon,
-		Warmup:         warmup,
-		Seed:           req.Seed,
-		Piggyback:      req.Piggyback,
-		Slew:           req.Slew,
-		TotalStreams:   req.TotalStreams,
-		Faults:         sched,
-		Engine:         sim.Engine(req.Engine),
-		FluidThreshold: req.FluidThreshold,
-		ParticleRate:   req.ParticleRate,
-	}, req.Replications)
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	model, err := analytic.New(cfg)
-	if err != nil {
-		return ReplicateResponse{}, err
-	}
-	modelHit, err := model.HitMixCtx(ctx, sizing.MixFromProfile(profile))
+	modelHit, err := predictHit(ctx, model, cfg.Profile)
 	if err != nil {
 		return ReplicateResponse{}, err
 	}

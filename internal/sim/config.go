@@ -21,8 +21,6 @@ package sim
 
 import (
 	"errors"
-	"fmt"
-	"math"
 
 	"vodalloc/internal/faults"
 	"vodalloc/internal/trace"
@@ -92,71 +90,31 @@ type Config struct {
 	ParticleRate   float64
 }
 
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	switch {
-	case !(c.L > 0) || math.IsInf(c.L, 0):
-		return fmt.Errorf("%w: movie length %v", ErrBadConfig, c.L)
-	case math.IsNaN(c.B) || c.B < 0 || c.B > c.L:
-		return fmt.Errorf("%w: buffer %v outside [0, %v]", ErrBadConfig, c.B, c.L)
-	case c.N < 1:
-		return fmt.Errorf("%w: stream count %d", ErrBadConfig, c.N)
-	case c.Delta < 0 || math.IsNaN(c.Delta):
-		return fmt.Errorf("%w: delta %v", ErrBadConfig, c.Delta)
-	case !(c.ArrivalRate > 0):
-		return fmt.Errorf("%w: arrival rate %v", ErrBadConfig, c.ArrivalRate)
-	case !(c.Horizon > 0):
-		return fmt.Errorf("%w: horizon %v", ErrBadConfig, c.Horizon)
-	case c.Warmup < 0 || c.Warmup >= c.Horizon:
-		return fmt.Errorf("%w: warmup %v outside [0, horizon)", ErrBadConfig, c.Warmup)
-	case c.MaxDedicated < 0:
-		return fmt.Errorf("%w: max dedicated %d", ErrBadConfig, c.MaxDedicated)
-	case c.Piggyback && !(c.slew() > 0 && c.slew() < 1):
-		return fmt.Errorf("%w: slew %v outside (0, 1)", ErrBadConfig, c.Slew)
-	case c.AbandonMean < 0 || math.IsNaN(c.AbandonMean):
-		return fmt.Errorf("%w: abandon mean %v", ErrBadConfig, c.AbandonMean)
-	case c.TotalStreams < 0:
-		return fmt.Errorf("%w: total streams %d", ErrBadConfig, c.TotalStreams)
-	case c.FluidThreshold < 0 || math.IsNaN(c.FluidThreshold):
-		return fmt.Errorf("%w: fluid threshold %v", ErrBadConfig, c.FluidThreshold)
-	case c.ParticleRate < 0 || math.IsNaN(c.ParticleRate):
-		return fmt.Errorf("%w: particle rate %v", ErrBadConfig, c.ParticleRate)
-	}
-	if _, err := ParseEngine(string(c.Engine)); err != nil {
-		return err
-	}
-	if err := c.Faults.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if err := c.Rates.Validate(); err != nil {
-		return fmt.Errorf("%w: %v", ErrBadConfig, err)
-	}
-	if c.Profile.Interactive() {
-		if err := c.Profile.Validate(); err != nil {
-			return fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-	}
-	return nil
-}
+// Validate checks the configuration: that of its one-movie server.
+func (c Config) Validate() error { return c.server().Validate() }
 
-// span returns the per-partition window B/N.
-func (c Config) span() float64 { return c.B / float64(c.N) }
-
-// period returns the restart interval L/N.
-func (c Config) period() float64 { return c.L / float64(c.N) }
-
-// slew returns the effective piggyback slew fraction.
-func (c Config) slew() float64 {
-	if c.Slew == 0 {
-		return 0.05
+// server is the one-movie server configuration the run executes; the
+// movie is named "movie".
+func (c Config) server() ServerConfig {
+	return ServerConfig{
+		Movies: []MovieSetup{{
+			Name: "movie", L: c.L, B: c.B, N: c.N, Delta: c.Delta,
+			ArrivalRate: c.ArrivalRate, Profile: c.Profile,
+			AbandonMean: c.AbandonMean,
+		}},
+		Rates:          c.Rates,
+		Horizon:        c.Horizon,
+		Warmup:         c.Warmup,
+		Seed:           c.Seed,
+		Piggyback:      c.Piggyback,
+		Slew:           c.Slew,
+		MaxDedicated:   c.MaxDedicated,
+		StreamsPerDisk: c.StreamsPerDisk,
+		Tracer:         c.Tracer,
+		TotalStreams:   c.TotalStreams,
+		Faults:         c.Faults,
+		Engine:         c.Engine,
+		FluidThreshold: c.FluidThreshold,
+		ParticleRate:   c.ParticleRate,
 	}
-	return c.Slew
-}
-
-// streamsPerDisk returns the effective disk placement granularity.
-func (c Config) streamsPerDisk() int {
-	if c.StreamsPerDisk <= 0 {
-		return 10
-	}
-	return c.StreamsPerDisk
 }

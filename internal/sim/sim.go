@@ -11,30 +11,7 @@ type Simulator struct {
 
 // New validates cfg and builds a single-movie simulator.
 func New(cfg Config) (*Simulator, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	srv, err := NewServer(ServerConfig{
-		Movies: []MovieSetup{{
-			Name: "movie", L: cfg.L, B: cfg.B, N: cfg.N, Delta: cfg.Delta,
-			ArrivalRate: cfg.ArrivalRate, Profile: cfg.Profile,
-			AbandonMean: cfg.AbandonMean,
-		}},
-		Rates:          cfg.Rates,
-		Horizon:        cfg.Horizon,
-		Warmup:         cfg.Warmup,
-		Seed:           cfg.Seed,
-		Piggyback:      cfg.Piggyback,
-		Slew:           cfg.Slew,
-		MaxDedicated:   cfg.MaxDedicated,
-		StreamsPerDisk: cfg.StreamsPerDisk,
-		Tracer:         cfg.Tracer,
-		TotalStreams:   cfg.TotalStreams,
-		Faults:         cfg.Faults,
-		Engine:         cfg.Engine,
-		FluidThreshold: cfg.FluidThreshold,
-		ParticleRate:   cfg.ParticleRate,
-	})
+	srv, err := NewServer(cfg.server())
 	if err != nil {
 		return nil, err
 	}

@@ -190,8 +190,8 @@ func TestPureBatchingQueuesEveryone(t *testing.T) {
 	if r.QueuedArrivals != r.Arrivals {
 		t.Errorf("pure batching: %d of %d arrivals queued", r.QueuedArrivals, r.Arrivals)
 	}
-	if r.MaxWait > c.period()+1e-9 {
-		t.Errorf("max wait %.3f exceeds period %.3f", r.MaxWait, c.period())
+	if period := c.L / float64(c.N); r.MaxWait > period+1e-9 {
+		t.Errorf("max wait %.3f exceeds period %.3f", r.MaxWait, period)
 	}
 }
 
@@ -374,7 +374,7 @@ func TestDeltaReserveChargesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	gross := c.B + float64(c.N)*c.Delta
-	span := c.span() + c.Delta
+	span := c.B/float64(c.N) + c.Delta
 	if r.BufferPeak < gross-1e-6 || r.BufferPeak > gross+span+1e-6 {
 		t.Errorf("delta-charged peak %.3f outside [%g, %g]", r.BufferPeak, gross, gross+span)
 	}
