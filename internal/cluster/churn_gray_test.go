@@ -398,7 +398,7 @@ func TestChurnHedgeBudget(t *testing.T) {
 		t.Fatalf("capped run: %v", err)
 	}
 	// Token-bucket ceiling: the bucket starts full and refills at most
-	// HedgeRefill (0.25) per routed arrival, health-scaled downward.
+	// hedgeRefill (0.25) per routed arrival, health-scaled downward.
 	ceiling := budget + 0.25*float64(capped.Arrivals)
 	if float64(capped.Gray.Hedges) > ceiling {
 		t.Errorf("capped run hedged %d times, past the bucket ceiling %.1f (arrivals %d)",
@@ -438,7 +438,7 @@ func TestChurnGrayValidate(t *testing.T) {
 		t.Error("infinite starve wait validated")
 	}
 	bad = grayScenario(t, PolicyHedge)
-	bad.Health.Alpha = 2
+	bad.Health.Window = 2
 	if err := bad.Validate(); err == nil {
 		t.Error("bad health config validated")
 	}

@@ -91,6 +91,38 @@ func (d DegradeLevel) admitShare() float64 {
 	}
 }
 
+// The control loop's fixed tuning.
+const (
+	// migrationRate is one transfer's throughput, bytes per simulated
+	// minute (≈ 50 MB/s).
+	migrationRate = 3e9
+	// bytesPerMinute converts movie length to copy size (≈ a 6 Mbit/s
+	// encode).
+	bytesPerMinute = 45e6
+	// targetUtil is the per-replica stream utilization the controller
+	// sizes replica counts for.
+	targetUtil = 0.7
+	// dropUtil is the hysteresis floor: a replica is only dropped when
+	// the survivors would still sit below this utilization. It must be
+	// below targetUtil for the loop to have a fixed point.
+	dropUtil = 0.45
+	// degradeAt / restoreAt are the cluster live-utilization thresholds
+	// for climbing / descending the degradation ladder; descent requires
+	// restoreTicks consecutive calm ticks. restoreAt is
+	// math.Min(0.75, 0.8*degradeAt) evaluated in float64, whose product
+	// rounds above the exact 0.736.
+	degradeAt    = 0.92
+	restoreAt    = 0.7360000000000001
+	restoreTicks = 2
+	// alpha and alphaSlow smooth the observed arrival rates. The fast
+	// estimate drives replica adds, so a flash crowd registers within a
+	// tick or two; drops require the SLOW estimate to agree, so Poisson
+	// noise in a single window cannot tear down a replica the next tick
+	// re-adds — the dual-rate split is what keeps the loop
+	// oscillation-free on a noisy but stationary workload.
+	alpha, alphaSlow = 0.3, 0.05
+)
+
 // ControllerConfig tunes the control loop. The zero value of any field
 // selects its default.
 type ControllerConfig struct {
@@ -101,36 +133,9 @@ type ControllerConfig struct {
 	BudgetBytes float64
 	// MaxConcurrent caps simultaneous migrations (default 2).
 	MaxConcurrent int
-	// MigrationRate is one transfer's throughput, bytes per simulated
-	// minute (default 3e9 ≈ 50 MB/s).
-	MigrationRate float64
-	// BytesPerMinute converts movie length to copy size (default 45e6,
-	// ≈ a 6 Mbit/s encode).
-	BytesPerMinute float64
-	// TargetUtil is the per-replica stream utilization the controller
-	// sizes replica counts for (default 0.7).
-	TargetUtil float64
-	// DropUtil is the hysteresis floor: a replica is only dropped when
-	// the survivors would still sit below this utilization (default
-	// 0.45; must be < TargetUtil for the loop to have a fixed point).
-	DropUtil float64
-	// DegradeAt / RestoreAt are the cluster live-utilization thresholds
-	// for climbing / descending the degradation ladder (defaults 0.92 /
-	// 0.75). Descent requires RestoreTicks consecutive calm ticks
-	// (default 2).
-	DegradeAt, RestoreAt float64
-	RestoreTicks         int
 	// Cooldown is the minimum time between actions on one movie
 	// (default 2·Interval).
 	Cooldown float64
-	// Alpha and AlphaSlow smooth the observed arrival rates (defaults
-	// 0.3 and 0.05). The fast estimate drives replica adds, so a flash
-	// crowd registers within a tick or two; drops require the SLOW
-	// estimate to agree, so Poisson noise in a single window cannot tear
-	// down a replica the next tick re-adds — the dual-rate split is what
-	// keeps the loop oscillation-free on a noisy but stationary
-	// workload.
-	Alpha, AlphaSlow float64
 	// EvacuateDwell arms proactive evacuation: a node stuck in
 	// Quarantine longer than this many simulated minutes gets its
 	// replicas drained — each is copied to a healthy node (charged
@@ -150,35 +155,8 @@ func (c ControllerConfig) withDefaults() ControllerConfig {
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 2
 	}
-	if c.MigrationRate <= 0 {
-		c.MigrationRate = 3e9
-	}
-	if c.BytesPerMinute <= 0 {
-		c.BytesPerMinute = 45e6
-	}
-	if c.TargetUtil <= 0 || c.TargetUtil > 1 {
-		c.TargetUtil = 0.7
-	}
-	if c.DropUtil <= 0 || c.DropUtil >= c.TargetUtil {
-		c.DropUtil = 0.45 * c.TargetUtil / 0.7
-	}
-	if c.DegradeAt <= 0 || c.DegradeAt > 1 {
-		c.DegradeAt = 0.92
-	}
-	if c.RestoreAt <= 0 || c.RestoreAt >= c.DegradeAt {
-		c.RestoreAt = math.Min(0.75, 0.8*c.DegradeAt)
-	}
-	if c.RestoreTicks <= 0 {
-		c.RestoreTicks = 2
-	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = 2 * c.Interval
-	}
-	if c.Alpha <= 0 || c.Alpha > 1 {
-		c.Alpha = 0.3
-	}
-	if c.AlphaSlow <= 0 || c.AlphaSlow > 1 {
-		c.AlphaSlow = 0.05
 	}
 	return c
 }
@@ -190,11 +168,7 @@ func (c ControllerConfig) Validate() error {
 		v    float64
 	}{
 		{"interval", c.Interval}, {"budget", c.BudgetBytes},
-		{"migration rate", c.MigrationRate}, {"bytes per minute", c.BytesPerMinute},
-		{"target util", c.TargetUtil}, {"drop util", c.DropUtil},
-		{"degrade at", c.DegradeAt}, {"restore at", c.RestoreAt},
-		{"cooldown", c.Cooldown}, {"alpha", c.Alpha}, {"alpha slow", c.AlphaSlow},
-		{"evacuate dwell", c.EvacuateDwell},
+		{"cooldown", c.Cooldown}, {"evacuate dwell", c.EvacuateDwell},
 	} {
 		if v.v < 0 || math.IsNaN(v.v) || math.IsInf(v.v, 0) {
 			return fmt.Errorf("%w: controller %s %v", ErrBadCluster, v.name, v.v)
@@ -440,7 +414,7 @@ func (c *Controller) unreserve(m Migration) {
 
 // bytesFor sizes one replica copy of the movie.
 func (c *Controller) bytesFor(m workload.Movie) float64 {
-	return m.Length * c.cfg.BytesPerMinute
+	return m.Length * bytesPerMinute
 }
 
 // Tick runs one control decision at time now: refresh demand estimates,
@@ -458,8 +432,8 @@ func (c *Controller) Tick(now float64) []Migration {
 			c.ewma[i] = obs
 			c.ewmaSlow[i] = obs
 		} else {
-			c.ewma[i] = c.cfg.Alpha*obs + (1-c.cfg.Alpha)*c.ewma[i]
-			c.ewmaSlow[i] = c.cfg.AlphaSlow*obs + (1-c.cfg.AlphaSlow)*c.ewmaSlow[i]
+			c.ewma[i] = alpha*obs + (1-alpha)*c.ewma[i]
+			c.ewmaSlow[i] = alphaSlow*obs + (1-alphaSlow)*c.ewmaSlow[i]
 		}
 	}
 	c.haveRate = true
@@ -533,7 +507,7 @@ func (c *Controller) Tick(now float64) []Migration {
 				mig := Migration{
 					Movie: m.Name, From: src, To: c.nodes[dest].ID, Drain: n.ID,
 					N: a.N, B: a.B, Bytes: bytes,
-					Start: now, Done: now + bytes/c.cfg.MigrationRate,
+					Start: now, Done: now + bytes/migrationRate,
 				}
 				c.used[dest].streams += a.N
 				c.used[dest].buffer += a.B
@@ -566,7 +540,7 @@ func (c *Controller) Tick(now float64) []Migration {
 		}
 		load := c.ewma[i] * m.Length // expected concurrent viewers
 		perReplica := load / float64(cur*a.N)
-		if perReplica > c.cfg.TargetUtil && len(c.replicas[m.Name])+c.pendingTo[m.Name] < len(c.nodes) {
+		if perReplica > targetUtil && len(c.replicas[m.Name])+c.pendingTo[m.Name] < len(c.nodes) {
 			wants = append(wants, want{idx: i, pressure: perReplica})
 		}
 	}
@@ -603,7 +577,7 @@ func (c *Controller) Tick(now float64) []Migration {
 		mig := Migration{
 			Movie: m.Name, From: src, To: c.nodes[dest].ID,
 			N: a.N, B: a.B, Bytes: bytes,
-			Start: now, Done: now + bytes/c.cfg.MigrationRate,
+			Start: now, Done: now + bytes/migrationRate,
 		}
 		c.used[dest].streams += a.N
 		c.used[dest].buffer += a.B
@@ -618,8 +592,8 @@ func (c *Controller) Tick(now float64) []Migration {
 	}
 
 	// 4. Drops: a movie whose surviving replicas would still sit below
-	// DropUtil sheds its newest replica. Free (no bytes move), but three
-	// guards rule out add/drop churn: the DropUtil < TargetUtil
+	// dropUtil sheds its newest replica. Free (no bytes move), but three
+	// guards rule out add/drop churn: the dropUtil < targetUtil
 	// hysteresis gap, the per-movie cooldown, and the requirement that
 	// BOTH the fast and the slow demand estimates agree the load is gone
 	// — a single quiet window never tears down what the next window
@@ -635,7 +609,7 @@ func (c *Controller) Tick(now float64) []Migration {
 		}
 		a := c.alloc[m.Name]
 		load := math.Max(c.ewma[i], c.ewmaSlow[i]) * m.Length
-		if load/float64((cur-1)*a.N) >= c.cfg.DropUtil {
+		if load/float64((cur-1)*a.N) >= dropUtil {
 			continue
 		}
 		hosts := c.replicas[m.Name]
@@ -655,14 +629,14 @@ func (c *Controller) Tick(now float64) []Migration {
 
 	// 5. Degradation ladder: escalate when the cluster runs hot and
 	// this tick could not relieve it with a migration; descend after
-	// RestoreTicks consecutive cool ticks.
+	// restoreTicks consecutive cool ticks.
 	live, capacity := c.router.Load()
 	util := 0.0
 	if capacity > 0 {
 		util = float64(live) / float64(capacity)
 	}
 	switch {
-	case util >= c.cfg.DegradeAt && len(started) == 0:
+	case util >= degradeAt && len(started) == 0:
 		if c.stats.Level < DegradeHotOnly {
 			c.stats.Level++
 			if c.stats.Level > c.stats.PeakLevel {
@@ -670,9 +644,9 @@ func (c *Controller) Tick(now float64) []Migration {
 			}
 		}
 		c.calm = 0
-	case util <= c.cfg.RestoreAt:
+	case util <= restoreAt:
 		c.calm++
-		if c.calm >= c.cfg.RestoreTicks && c.stats.Level > DegradeNone {
+		if c.calm >= restoreTicks && c.stats.Level > DegradeNone {
 			c.stats.Level--
 			c.calm = 0
 		}

@@ -149,15 +149,9 @@ func TestHealthConfigValidate(t *testing.T) {
 		t.Errorf("zero config (all defaults): %v", err)
 	}
 	bad := []HealthConfig{
-		{Alpha: 1.5},
-		{Alpha: -0.1},
 		{Window: 2},
 		{Window: 1 << 20},
-		{Quantile: 1.5},
 		{HedgeQuantile: -0.5},
-		{SuspectBelow: 0.3, QuarantineBelow: 0.5},                  // quarantine > suspect
-		{SuspectBelow: 0.9, RestoreAbove: 0.8},                     // restore <= suspect
-		{SuspectBelow: 0.6, QuarantineBelow: 0.4, RestoreAbove: 2}, // restore > 1
 		{SuspectAfter: -1},
 		{ProbeEvery: -2},
 		{ProbationAfter: math.Inf(1)},

@@ -19,12 +19,12 @@ import (
 //
 // Scores drive a four-state machine with hysteresis:
 //
-//	Healthy → Suspect       score below SuspectBelow for SuspectAfter
+//	Healthy → Suspect       score below suspectBelow for SuspectAfter
 //	                        consecutive observations
-//	Suspect → Quarantined   score below QuarantineBelow for
+//	Suspect → Quarantined   score below quarantineBelow for
 //	                        QuarantineAfter more observations (guarded:
 //	                        never strands a movie with no routable host)
-//	Suspect → Healthy       score above RestoreAbove for RestoreTicks
+//	Suspect → Healthy       score above restoreAbove for RestoreTicks
 //	Quarantined → Probation after ProbationAfter minutes of dwell; the
 //	                        tracker resets so probes are judged fresh
 //	Probation → Healthy     ProbeOK consecutive good probes
@@ -67,20 +67,28 @@ func (s HealthState) String() string {
 	}
 }
 
-// HealthConfig tunes the health scorer, the quarantine machine, and
-// hedged dispatch. The zero value means "all defaults".
+// The health scorer's fixed tuning.
+const (
+	// healthAlpha is the per-node latency EWMA smoothing factor.
+	healthAlpha = 0.3
+	// healthQuantile is the ring quantile blended (by max) with the
+	// EWMA into the health signal.
+	healthQuantile = 0.9
+	// suspectBelow / quarantineBelow / restoreAbove are the score
+	// thresholds of the state machine; distinct enter and exit
+	// thresholds are the hysteresis band.
+	suspectBelow, quarantineBelow, restoreAbove = 0.6, 0.45, 0.85
+	// hedgeRefill is the hedge token bucket's refill per routing
+	// decision, before scaling by fleet-wide health.
+	hedgeRefill = 0.25
+)
+
+// HealthConfig tunes the health scorer's window, the quarantine
+// machine's streaks and dwell, and hedged dispatch. The zero value
+// means "all defaults".
 type HealthConfig struct {
-	// Alpha is the per-node latency EWMA smoothing factor (0 = 0.3).
-	Alpha float64
 	// Window is the per-node recent-sample ring size (0 = 64).
 	Window int
-	// Quantile is the ring quantile blended (by max) with the EWMA into
-	// the health signal (0 = 0.9).
-	Quantile float64
-	// SuspectBelow / QuarantineBelow / RestoreAbove are the score
-	// thresholds of the state machine (0 = 0.6 / 0.45 / 0.85). Distinct
-	// enter and exit thresholds are the hysteresis band.
-	SuspectBelow, QuarantineBelow, RestoreAbove float64
 	// SuspectAfter / QuarantineAfter / RestoreTicks are the
 	// consecutive-observation streaks the transitions require
 	// (0 = 6 / 10 / 8).
@@ -101,14 +109,13 @@ type HealthConfig struct {
 	HedgeWarm     int
 	// HedgeBudget caps hedge volume with a token bucket of this burst
 	// capacity (0 = unlimited, the pre-budget behavior). Each hedge
-	// spends one token; the bucket refills by HedgeRefill tokens per
-	// routing decision (0 = 0.25), scaled by fleet-wide median health —
-	// full rate against one sick node, near zero under a cluster-wide
-	// brownout, where duplicate dispatch would add load exactly when
-	// capacity is scarcest. A hedge wanted but denied for lack of tokens
-	// counts as HedgeDenied.
+	// spends one token; the bucket refills by hedgeRefill tokens per
+	// routing decision, scaled by fleet-wide median health — full rate
+	// against one sick node, near zero under a cluster-wide brownout,
+	// where duplicate dispatch would add load exactly when capacity is
+	// scarcest. A hedge wanted but denied for lack of tokens counts as
+	// HedgeDenied.
 	HedgeBudget float64
-	HedgeRefill float64
 	// DiskHealth extends the latency trackers and the quarantine state
 	// machine to disk granularity: each disk of a node gets its own
 	// tracker and Suspect→Quarantined→Probation machine, so one slow
@@ -132,12 +139,7 @@ func defI(v, d int) int {
 }
 
 func (c HealthConfig) withDefaults() HealthConfig {
-	c.Alpha = defF(c.Alpha, 0.3)
 	c.Window = defI(c.Window, 64)
-	c.Quantile = defF(c.Quantile, 0.9)
-	c.SuspectBelow = defF(c.SuspectBelow, 0.6)
-	c.QuarantineBelow = defF(c.QuarantineBelow, 0.45)
-	c.RestoreAbove = defF(c.RestoreAbove, 0.85)
 	c.SuspectAfter = defI(c.SuspectAfter, 6)
 	c.QuarantineAfter = defI(c.QuarantineAfter, 10)
 	c.RestoreTicks = defI(c.RestoreTicks, 8)
@@ -147,7 +149,6 @@ func (c HealthConfig) withDefaults() HealthConfig {
 	c.HedgeQuantile = defF(c.HedgeQuantile, 0.95)
 	c.HedgeMin = defF(c.HedgeMin, 4)
 	c.HedgeWarm = defI(c.HedgeWarm, 64)
-	c.HedgeRefill = defF(c.HedgeRefill, 0.25)
 	return c
 }
 
@@ -155,15 +156,10 @@ func (c HealthConfig) withDefaults() HealthConfig {
 func (c HealthConfig) Validate() error {
 	d := c.withDefaults()
 	switch {
-	case !(d.Alpha > 0 && d.Alpha <= 1):
-		return fmt.Errorf("%w: health alpha %v", ErrBadCluster, d.Alpha)
 	case d.Window < 4 || d.Window > 4096:
 		return fmt.Errorf("%w: health window %d", ErrBadCluster, d.Window)
-	case !(d.Quantile > 0 && d.Quantile < 1) || !(d.HedgeQuantile > 0 && d.HedgeQuantile < 1):
-		return fmt.Errorf("%w: health quantile %v / hedge quantile %v", ErrBadCluster, d.Quantile, d.HedgeQuantile)
-	case !(d.QuarantineBelow > 0) || !(d.SuspectBelow >= d.QuarantineBelow) || !(d.RestoreAbove > d.SuspectBelow) || d.RestoreAbove > 1:
-		return fmt.Errorf("%w: health thresholds want 0 < quarantine %v <= suspect %v < restore %v <= 1",
-			ErrBadCluster, d.QuarantineBelow, d.SuspectBelow, d.RestoreAbove)
+	case !(d.HedgeQuantile > 0 && d.HedgeQuantile < 1):
+		return fmt.Errorf("%w: hedge quantile %v", ErrBadCluster, d.HedgeQuantile)
 	case d.SuspectAfter < 1 || d.QuarantineAfter < 1 || d.RestoreTicks < 1 || d.ProbeEvery < 1 || d.ProbeOK < 1:
 		return fmt.Errorf("%w: health streaks must be >= 1", ErrBadCluster)
 	case !(d.ProbationAfter > 0) || math.IsInf(d.ProbationAfter, 0):
@@ -172,8 +168,6 @@ func (c HealthConfig) Validate() error {
 		return fmt.Errorf("%w: hedge floor %v / warm %d", ErrBadCluster, d.HedgeMin, d.HedgeWarm)
 	case d.HedgeBudget < 0 || math.IsNaN(d.HedgeBudget) || math.IsInf(d.HedgeBudget, 0):
 		return fmt.Errorf("%w: hedge budget %v", ErrBadCluster, d.HedgeBudget)
-	case !(d.HedgeRefill > 0) || math.IsInf(d.HedgeRefill, 0):
-		return fmt.Errorf("%w: hedge refill %v", ErrBadCluster, d.HedgeRefill)
 	}
 	return nil
 }

@@ -152,7 +152,6 @@ func TestIdentityCompleteClusterSimConfig(t *testing.T) {
 		Warmup:         50,
 		Seed:           13,
 		Workers:        2,
-		StreamsPerDisk: 10,
 		Faults:         []NodeFault{{Node: "node1", At: 200, Until: 300}},
 		Engine:         sim.EngineHybrid,
 		FluidThreshold: 5,

@@ -218,7 +218,7 @@ func (r *Router) trackerScoreLocked(nh *nodeHealth) float64 {
 		return 1
 	}
 	sig := nh.ewma
-	if q := nh.win.quantile(r.hcfg.Quantile); q > sig {
+	if q := nh.win.quantile(healthQuantile); q > sig {
 		sig = q
 	}
 	ref := r.refLocked()
@@ -333,7 +333,7 @@ func (r *Router) observeDiskLocked(i, d int, wait, now float64, probe bool) {
 		return
 	}
 	dh := &r.diskHealth[i][d]
-	dh.observe(r.hcfg.Alpha, wait)
+	dh.observe(healthAlpha, wait)
 	if probe {
 		r.judgeProbeLocked(dh, wait, now, func() bool { return r.diskCanQuarantineLocked(i, d) }, &r.gray.DiskRestores)
 	}
@@ -427,7 +427,7 @@ func (r *Router) tickHealthLocked(now float64) {
 func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine func() bool, c healthCounters) {
 	switch nh.state {
 	case Healthy:
-		if nh.n >= healthWarmMin && r.trackerScoreLocked(nh) < r.hcfg.SuspectBelow {
+		if nh.n >= healthWarmMin && r.trackerScoreLocked(nh) < suspectBelow {
 			nh.bad++
 		} else {
 			nh.bad = 0
@@ -439,12 +439,12 @@ func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine fun
 		}
 	case Suspect:
 		sc := r.trackerScoreLocked(nh)
-		if sc < r.hcfg.QuarantineBelow {
+		if sc < quarantineBelow {
 			nh.bad++
 		} else {
 			nh.bad = 0
 		}
-		if sc >= r.hcfg.RestoreAbove {
+		if sc >= restoreAbove {
 			nh.good++
 		} else {
 			nh.good = 0
@@ -474,7 +474,7 @@ func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine fun
 // stands on fresh evidence.
 func (r *Router) observeLocked(i int, wait, now float64, probe bool) {
 	nh := &r.health[i]
-	nh.observe(r.hcfg.Alpha, wait)
+	nh.observe(healthAlpha, wait)
 	if probe {
 		r.judgeProbeLocked(nh, wait, now, func() bool { return r.canQuarantineLocked(i) }, &r.gray.Restores)
 	}
@@ -492,14 +492,14 @@ func (r *Router) judgeProbeLocked(nh *nodeHealth, wait, now float64, canQuaranti
 		return
 	}
 	switch sc := r.instScoreLocked(wait); {
-	case sc >= r.hcfg.RestoreAbove:
+	case sc >= restoreAbove:
 		nh.good++
 		if nh.good >= r.hcfg.ProbeOK {
 			nh.state, nh.since = Healthy, now
 			nh.bad, nh.good = 0, 0
 			*restores++
 		}
-	case sc < r.hcfg.QuarantineBelow:
+	case sc < quarantineBelow:
 		if canQuarantine() {
 			nh.state, nh.since = Quarantined, now
 		}
@@ -566,7 +566,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 	// scaled by fleet-wide median health, capped at the burst size. No
 	// draw, no clock — replay-exact.
 	if r.policy == PolicyHedge && r.hcfg.HedgeBudget > 0 {
-		r.hedgeTokens += r.hcfg.HedgeRefill * r.fleetHealthLocked()
+		r.hedgeTokens += hedgeRefill * r.fleetHealthLocked()
 		if r.hedgeTokens > r.hcfg.HedgeBudget {
 			r.hedgeTokens = r.hcfg.HedgeBudget
 		}

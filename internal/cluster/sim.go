@@ -96,9 +96,6 @@ type SimConfig struct {
 	Seed int64
 	// Workers bounds the per-node simulation fan-out; 0 = GOMAXPROCS.
 	Workers int
-	// StreamsPerDisk is the disk-array granularity on every node;
-	// 0 = 10 (the sim default).
-	StreamsPerDisk int
 	// Faults are the node outages to inject.
 	Faults []NodeFault
 	// Engine selects every node simulation's backend (des when empty);
@@ -110,12 +107,9 @@ type SimConfig struct {
 	ParticleRate   float64
 }
 
-func (c SimConfig) spd() int {
-	if c.StreamsPerDisk > 0 {
-		return c.StreamsPerDisk
-	}
-	return 10
-}
+// nodeStreamsPerDisk is the disk-array granularity on every node (the
+// sim default).
+const nodeStreamsPerDisk = 10
 
 // Validate checks the configuration: the routing pass's churn
 // configuration (placement, catalog, rate, horizon, warmup and faults),
@@ -125,8 +119,6 @@ func (c SimConfig) Validate() error {
 		return err
 	}
 	switch {
-	case c.StreamsPerDisk < 0:
-		return fmt.Errorf("%w: streams per disk %d", ErrBadCluster, c.StreamsPerDisk)
 	case c.FluidThreshold < 0 || math.IsNaN(c.FluidThreshold):
 		return fmt.Errorf("%w: fluid threshold %v", ErrBadCluster, c.FluidThreshold)
 	case c.ParticleRate < 0 || math.IsNaN(c.ParticleRate):
@@ -413,7 +405,7 @@ func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, pat
 			Horizon:        cfg.Horizon,
 			Warmup:         cfg.Warmup,
 			Seed:           cfg.Seed + int64(i+1)*1000003,
-			StreamsPerDisk: cfg.spd(),
+			StreamsPerDisk: nodeStreamsPerDisk,
 			Engine:         cfg.Engine,
 			FluidThreshold: cfg.FluidThreshold,
 			ParticleRate:   cfg.ParticleRate,
@@ -438,7 +430,7 @@ func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, pat
 			// healthy nodes keep the configured engine.
 			sc.Engine = sim.EngineDES
 			sc.TotalStreams = node.MaxStreams
-			disks := (node.MaxStreams + cfg.spd() - 1) / cfg.spd()
+			disks := (node.MaxStreams + nodeStreamsPerDisk - 1) / nodeStreamsPerDisk
 			var sched faults.Schedule
 			for _, f := range nf {
 				for d := 0; d < disks; d++ {
