@@ -18,7 +18,7 @@ import (
 	"os"
 
 	"vodalloc/internal/analytic"
-	"vodalloc/internal/cliutil"
+	"vodalloc/internal/dist"
 )
 
 func main() {
@@ -51,7 +51,7 @@ func main() {
 		fatal(err)
 	}
 
-	dur, err := cliutil.ParseDist(*durSpec)
+	dur, err := dist.Parse(*durSpec)
 	if err != nil {
 		fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 	"strconv"
 	"strings"
 
-	"vodalloc/internal/cliutil"
 	"vodalloc/internal/dist"
 	"vodalloc/internal/sizing"
 	"vodalloc/internal/workload"
@@ -181,7 +180,7 @@ func parseMovie(spec string) (workload.Movie, error) {
 	if err != nil {
 		return workload.Movie{}, fmt.Errorf("movie %q target: %v", parts[0], err)
 	}
-	dur, err := cliutil.ParseDist(parts[4])
+	dur, err := dist.Parse(parts[4])
 	if err != nil {
 		return workload.Movie{}, err
 	}

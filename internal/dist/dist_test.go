@@ -453,7 +453,10 @@ func TestParseSpecFamilies(t *testing.T) {
 			t.Errorf("%s: mean %g want %g", spec, d.Mean(), mean)
 		}
 	}
-	for _, spec := range []string{"", "nope:1", "exp", "exp:1:2", "gamma:x:1", "pareto:1"} {
+	for _, spec := range []string{
+		"", "nope:1", "exp", "exp:1:2", "gamma:x:1", "pareto:1",
+		"gamma:2", "exp:abc", "uniform:5:1", "gamma:-1:2",
+	} {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadParam) {
 			t.Errorf("%q: want ErrBadParam, got %v", spec, err)
 		}
