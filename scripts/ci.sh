@@ -17,7 +17,9 @@
 # brownout through the hedged router; a vodperf smoke builds the frozen
 # benchmark program and runs its traced churn_blind workload once,
 # which calls the router and churn entry points it depends on and
-# checks their output; a fluid smoke sweeps the scale
+# checks their output, then its serve workload once, which drives
+# /v1/hit, /v1/plan and /v1/simulate over HTTP and checks every
+# response; a fluid smoke sweeps the scale
 # experiment (fluid backend up to ~12M concurrent viewers with DES
 # comparison rungs); a bench-regression stage replays the quick
 # experiment sweep against the recorded BENCH_sweeps.json baseline and
@@ -115,12 +117,14 @@ echo "ci: gray smoke passed"
 
 # --- vodperf smoke: the traced churn_blind run calls NewRouter,
 # RouteLoad, RouteGray, Release, ReleaseDisk, SetGrayPolicy and both
-# churn scenarios directly, and vodperf exits 1 when any output check
-# fails. It writes only the git-ignored .bench_build/; bench/ stays
-# untouched ---
+# churn scenarios directly; the serve run posts /v1/hit, /v1/plan and
+# /v1/simulate request bodies built from the httpapi types and checks
+# each response. vodperf exits 1 when any output check fails. It writes
+# only the git-ignored .bench_build/; bench/ stays untouched ---
 perf=$(mktemp -d)
 (cd bench && go build -o "$perf/vodperf" ./vodperf)
 "$perf/vodperf" -workload churn_blind -seconds 1 -trace 1 -json "$perf/r.json" >/dev/null
+"$perf/vodperf" -workload serve -seconds 1 -json "$perf/s.json" >/dev/null
 rm -rf "$perf"
 echo "ci: vodperf smoke passed"
 
