@@ -219,10 +219,11 @@ func handleHit(ctx context.Context, req HitRequest) (HitResponse, error) {
 	if resp.HitPAU, err = model.HitPAUCtx(ctx, profile.DurPAU); err != nil {
 		return HitResponse{}, err
 	}
-	resp.Hit, err = model.HitMixCtx(ctx, sizing.MixFromProfile(profile))
-	if err != nil {
+	mix := sizing.MixFromProfile(profile)
+	if err := mix.Validate(); err != nil {
 		return HitResponse{}, err
 	}
+	resp.Hit = mix.Weigh(resp.HitFF, resp.HitRW, resp.HitPAU)
 	if req.Breakdown {
 		resp.Breakdowns = map[string]BreakdownJSON{}
 		for op, d := range map[analytic.Op]dist.Distribution{
