@@ -30,7 +30,10 @@
 // where F is the duration CDF and G(x) = ∫₀ˣ F. This reduces each
 // P(hit | op) to a single smooth one-dimensional quadrature over u, which
 // is both faster and better conditioned than the nested integrals of
-// Eqs. (4)–(18). The file paperff.go carries a literal transcription of
+// Eqs. (4)–(18). PAU, which has no clip, goes one step further: swapping
+// the u-integral and the period sum leaves second differences of the
+// excess mean H(x) = ∫ₓ^∞ (1 − F), a plain sum with no quadrature for
+// every family whose H has a closed form (see pauTerm). The file paperff.go carries a literal transcription of
 // the paper's FF equations; tests verify the two agree to quadrature
 // tolerance.
 package analytic

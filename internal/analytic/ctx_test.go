@@ -45,3 +45,37 @@ func TestHitMixCtxCancellation(t *testing.T) {
 		t.Errorf("pure-batching HitFFCtx on dead ctx = %v, want context.Canceled", err)
 	}
 }
+
+// BenchmarkHitPAU times one P(hit|PAU) evaluation at the sensitivity
+// experiment's (120, 60, 30) on a warm duration cache, for the paper's
+// two families and the two heavy tails whose scans run to pauExactScan.
+// Reports evaluations per second.
+func BenchmarkHitPAU(b *testing.B) {
+	ln, err := dist.LognormalFromMoments(8, 1.5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		d    dist.Distribution
+	}{
+		{"exponential", dist.MustExponential(8)},
+		{"gamma", dist.MustGamma(2, 4)},
+		{"lognormal", ln},
+		{"pareto", dist.MustPareto(8*(2.2-1)/2.2, 2.2)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			m := MustNew(Config{L: 120, B: 60, N: 30, RatePB: 1, RateFF: 3, RateRW: 3})
+			sink := m.HitPAU(c.d)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sink += m.HitPAU(c.d)
+			}
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "evals/s")
+			if sink < 0 {
+				b.Fatal("negative hit probability")
+			}
+		})
+	}
+}

@@ -6,16 +6,20 @@ import (
 	"vodalloc/internal/dist"
 )
 
-// durFn bundles the two functionals of a VCR-duration distribution that
-// the model needs: the CDF F and its running integral G(x) = ∫₀ˣ F(t) dt.
+// durFn bundles the functionals of a VCR-duration distribution that the
+// model needs: the CDF F, its running integral G(x) = ∫₀ˣ F(t) dt, and
+// where one exists in closed form the excess mean H(x) = ∫ₓ^∞ (1 − F).
 // G appears when the uniform viewer-position integral is evaluated in
 // closed form (see the package comment). Closed forms of G are used for
 // the families the paper evaluates; any other distribution falls back to
 // a dense precomputed grid (G is C¹, so linear interpolation of a fine
-// grid is accurate to O(h²)).
+// grid is accurate to O(h²)). H turns the pause hit probability into a
+// sum over restart periods (pauTerm); it is nil for the families without
+// a closed form, which keep the u-quadrature.
 type durFn struct {
 	F func(x float64) float64
 	G func(x float64) float64
+	H func(x float64) float64
 	// FG evaluates F and G at one point, sharing the subexpressions the
 	// closed forms have in common: the Gamma family's G needs P(k) and
 	// P(k+1), which dist.IncGammaPair evaluates together (one Exp at
@@ -55,7 +59,8 @@ func newDurFn(d dist.Distribution, l float64) durFn {
 }
 
 // rawDurFn builds the family-specific functionals; newDurFn fills in the
-// generic FG fallback and the G(l) cache.
+// generic FG fallback and the G(l) cache. The lognormal, Weibull and
+// Pareto families have a closed-form H but keep the grid G.
 func rawDurFn(d dist.Distribution, l float64) durFn {
 	F := d.CDF
 	switch t := d.(type) {
@@ -73,7 +78,7 @@ func rawDurFn(d dist.Distribution, l float64) durFn {
 			}
 			e := math.Expm1(-x / m)
 			return -e, x + m*e
-		}}
+		}, H: t.ExcessMean}
 	case dist.Gamma:
 		k, th := t.Shape(), t.Scale()
 		fg := func(x float64) (float64, float64) {
@@ -87,7 +92,7 @@ func rawDurFn(d dist.Distribution, l float64) durFn {
 		return durFn{F: F, G: func(x float64) float64 {
 			_, gx := fg(x)
 			return gx
-		}, FG: fg}
+		}, FG: fg, H: t.ExcessMean}
 	case dist.Uniform:
 		lo, hi := t.Support()
 		return durFn{F: F, G: func(x float64) float64 {
@@ -99,7 +104,7 @@ func rawDurFn(d dist.Distribution, l float64) durFn {
 			default:
 				return (x - lo) * (x - lo) / (2 * (hi - lo))
 			}
-		}}
+		}, H: t.ExcessMean}
 	case dist.Deterministic:
 		v := t.Mean()
 		return durFn{F: F, G: func(x float64) float64 {
@@ -107,7 +112,17 @@ func rawDurFn(d dist.Distribution, l float64) durFn {
 				return 0
 			}
 			return x - v
-		}}
+		}, H: t.ExcessMean}
+	case dist.Lognormal:
+		return durFn{F: F, G: gridG(d, l), H: t.ExcessMean}
+	case dist.Weibull:
+		return durFn{F: F, G: gridG(d, l), H: t.ExcessMean}
+	case dist.Pareto:
+		if math.IsInf(t.Mean(), 1) {
+			// α ≤ 1: H is infinite everywhere.
+			return durFn{F: F, G: gridG(d, l)}
+		}
+		return durFn{F: F, G: gridG(d, l), H: t.ExcessMean}
 	default:
 		return durFn{F: F, G: gridG(d, l)}
 	}

@@ -86,3 +86,35 @@ func BenchmarkDurFnFG(b *testing.B) {
 		})
 	}
 }
+
+// TestClosedFormHSelection checks which families get a closed-form H:
+// every family with one, except Pareto with α ≤ 1; the wrappers keep the
+// u-quadrature.
+func TestClosedFormHSelection(t *testing.T) {
+	ln, err := dist.LognormalFromMoments(8, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exp := dist.MustExponential(8)
+	for _, c := range []struct {
+		d    dist.Distribution
+		want bool
+	}{
+		{exp, true},
+		{dist.MustGamma(2, 4), true},
+		{dist.MustUniform(0, 16), true},
+		{dist.MustDeterministic(8), true},
+		{ln, true},
+		{dist.MustWeibull(1.5, 9), true},
+		{dist.MustPareto(4, 2.2), true},
+		{dist.MustPareto(4, 1), false},
+		{dist.MustTruncated(exp, 0, 120), false},
+		{dist.MustFolded(exp, 120), false},
+		{dist.MustMixture(dist.Component{Weight: 1, Dist: exp}), false},
+		{dist.MustEmpirical([]float64{1, 2, 3}), false},
+	} {
+		if got := newDurFn(c.d, 120).H != nil; got != c.want {
+			t.Errorf("%T%+v: closed-form H %v, want %v", c.d, c.d, got, c.want)
+		}
+	}
+}

@@ -181,6 +181,71 @@ func TestHitMatchesAdaptiveReference(t *testing.T) {
 	}
 }
 
+// TestPauseClosedFormMatchesQuadrature compares the closed-form pause sum
+// with the adaptive reference of the u-quadrature path, on randomized
+// configurations, for the light-tailed families with a closed-form H.
+func TestPauseClosedFormMatchesQuadrature(t *testing.T) {
+	cases := 40
+	if testing.Short() {
+		cases = 8
+	}
+	rng := rand.New(rand.NewSource(11))
+	for k := 0; k < cases; k++ {
+		cfg := randomConfig(rng)
+		mean := 2 + 12*rng.Float64()
+		var d dist.Distribution
+		switch k % 4 {
+		case 0:
+			d = dist.MustExponential(mean)
+		case 1:
+			shape := 0.7 + 4*rng.Float64()
+			d = dist.MustGamma(shape, mean/shape)
+		case 2:
+			d = dist.MustUniform(mean*rng.Float64(), 2*mean)
+		default:
+			d = dist.MustWeibull(0.8+2.2*rng.Float64(), mean)
+		}
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatalf("config %+v: %v", cfg, err)
+		}
+		if m.durFnFor(d).H == nil {
+			t.Fatalf("%T has no closed-form H", d)
+		}
+		got, want := m.HitPAU(d), refHitPAU(t, m, d)
+		if math.IsNaN(got) || got < 0 || got > 1 || math.Abs(got-want) > 1e-9 {
+			t.Errorf("case %d cfg %+v dur %T%+v: closed form %.12f, adaptive reference %.12f",
+				k, cfg, d, d, got, want)
+		}
+	}
+}
+
+// TestPauseHeavyTailReferences pins the closed form for the sensitivity
+// experiment's heavy-tailed pause families at (120, 60, 30) against the
+// u-quadrature path at 2048 panels (WithUPanels(2048), about 25 s for the
+// pair on a 2-vCPU x86-64 host, so the values are recorded here).
+func TestPauseHeavyTailReferences(t *testing.T) {
+	ln, err := dist.LognormalFromMoments(8, 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := MustNew(Config{L: 120, B: 60, N: 30, RatePB: 1, RateFF: 3, RateRW: 3})
+	for _, tc := range []struct {
+		d    dist.Distribution
+		want float64
+	}{
+		{ln, 0.473225451176202},
+		{dist.MustPareto(8*(2.2-1)/2.2, 2.2), 0.475456875095737},
+	} {
+		if m.durFnFor(tc.d).H == nil {
+			t.Fatalf("%T has no closed-form H", tc.d)
+		}
+		if got := m.HitPAU(tc.d); math.Abs(got-tc.want) > 1e-9 {
+			t.Errorf("%T%+v: HitPAU %.15f, 2048-panel reference %.15f", tc.d, tc.d, got, tc.want)
+		}
+	}
+}
+
 // TestGaussPanelsMatchesAdaptive pins the cached panel tables directly:
 // for assorted smooth integrands and panel counts, the composite rule
 // must agree with quad.Adaptive to near machine precision.

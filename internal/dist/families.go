@@ -44,6 +44,15 @@ func (d Exponential) CDF(x float64) float64 {
 	return -math.Expm1(-x / d.mean)
 }
 
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F),
+// here m·e^{−x/m} for x ≥ 0.
+func (d Exponential) ExcessMean(x float64) float64 {
+	if x <= 0 {
+		return d.mean - x
+	}
+	return d.mean * math.Exp(-x/d.mean)
+}
+
 func (d Exponential) Mean() float64     { return d.mean }
 func (d Exponential) Variance() float64 { return d.mean * d.mean }
 
@@ -123,6 +132,17 @@ func (d Gamma) CDF(x float64) float64 {
 	return regIncGammaP(d.shape, x/d.scale)
 }
 
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F),
+// here kθ·Q(k+1, x/θ) − x·Q(k, x/θ). Q is computed as the upper tail
+// itself, not as 1 − P, so H keeps its digits far out in the tail.
+func (d Gamma) ExcessMean(x float64) float64 {
+	if x <= 0 {
+		return d.Mean() - x
+	}
+	q, q1 := incGammaQPair(d.shape, x/d.scale)
+	return d.shape*d.scale*q1 - x*q
+}
+
 func (d Gamma) Mean() float64     { return d.shape * d.scale }
 func (d Gamma) Variance() float64 { return d.shape * d.scale * d.scale }
 
@@ -200,6 +220,19 @@ func (d Uniform) CDF(x float64) float64 {
 	}
 }
 
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F):
+// (a+b)/2 − x below a, (b − x)²/(2(b − a)) inside [a, b], 0 above.
+func (d Uniform) ExcessMean(x float64) float64 {
+	switch {
+	case x <= d.a:
+		return d.Mean() - x
+	case x >= d.b:
+		return 0
+	default:
+		return (d.b - x) * (d.b - x) / (2 * (d.b - d.a))
+	}
+}
+
 func (d Uniform) Mean() float64 { return 0.5 * (d.a + d.b) }
 func (d Uniform) Variance() float64 {
 	w := d.b - d.a
@@ -253,6 +286,11 @@ func (d Deterministic) CDF(x float64) float64 {
 		return 0
 	}
 	return 1
+}
+
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = max(v − x, 0).
+func (d Deterministic) ExcessMean(x float64) float64 {
+	return math.Max(d.value-x, 0)
 }
 
 func (d Deterministic) Mean() float64     { return d.value }
@@ -315,6 +353,17 @@ func (d Weibull) CDF(x float64) float64 {
 		return 0
 	}
 	return -math.Expm1(-math.Pow(x/d.lambda, d.k))
+}
+
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F).
+// With z = (x/λ)^k it is λΓ(1+1/k)·Q(1+1/k, z) − x·e^{−z}, which the
+// recurrence Q(a+1, z) = Q(a, z) + z^a·e^{−z}/Γ(a+1) turns into the single
+// term λΓ(1+1/k)·Q(1/k, z): no difference to cancel in the tail.
+func (d Weibull) ExcessMean(x float64) float64 {
+	if x <= 0 {
+		return d.Mean() - x
+	}
+	return d.Mean() * regIncGammaQ(1/d.k, math.Pow(x/d.lambda, d.k))
 }
 
 func (d Weibull) Mean() float64 {

@@ -56,6 +56,21 @@ func (d Lognormal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-(math.Log(x)-d.mu)/(d.sigma*math.Sqrt2))
 }
 
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F),
+// here e^{μ+σ²/2}·Φ(d₁) − x·Φ(d₂) with d₂ = (μ − ln x)/σ, d₁ = d₂ + σ.
+func (d Lognormal) ExcessMean(x float64) float64 {
+	if x <= 0 {
+		return d.Mean() - x
+	}
+	d2 := (d.mu - math.Log(x)) / d.sigma
+	return d.Mean()*normalCDF(d2+d.sigma) - x*normalCDF(d2)
+}
+
+// normalCDF is the standard normal CDF Φ(z) = erfc(−z/√2)/2.
+func normalCDF(z float64) float64 {
+	return 0.5 * math.Erfc(-z/math.Sqrt2)
+}
+
 func (d Lognormal) Mean() float64 {
 	return math.Exp(d.mu + d.sigma*d.sigma/2)
 }
@@ -108,6 +123,19 @@ func (d Pareto) CDF(x float64) float64 {
 		return 0
 	}
 	return 1 - math.Pow(d.xm/x, d.alpha)
+}
+
+// ExcessMean returns the excess mean H(x) = E[(X − x)⁺] = ∫ₓ^∞ (1 − F):
+// E[X] − x below xm and x·(xm/x)^α/(α − 1) above it. For alpha ≤ 1 the
+// mean, and so H, is +Inf: no finite closed form.
+func (d Pareto) ExcessMean(x float64) float64 {
+	if d.alpha <= 1 {
+		return math.Inf(1)
+	}
+	if x <= d.xm {
+		return d.Mean() - x
+	}
+	return x * math.Pow(d.xm/x, d.alpha) / (d.alpha - 1)
 }
 
 // Mean returns +Inf for alpha ≤ 1.

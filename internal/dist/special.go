@@ -107,6 +107,21 @@ func IncGammaPair(a, x float64) (p, p1 float64) {
 	return regIncGammaP(a, x), regIncGammaP(a+1, x)
 }
 
+// incGammaQPair returns the regularized upper incomplete gammas Q(a, x)
+// and Q(a+1, x) for x > 0. Where the Poisson sums serve a, both come from
+// one e^{−x}; elsewhere they are two evaluations of regIncGammaQ. Either
+// way Q is summed directly wherever it is small, never taken as 1 − P.
+func incGammaQPair(a, x float64) (q, q1 float64) {
+	if intShape(a, x) {
+		v, v1, upper := gammaIntPair(a, x)
+		if upper {
+			return v, v1
+		}
+		return 1 - v, 1 - v1
+	}
+	return regIncGammaQ(a, x), regIncGammaQ(a+1, x)
+}
+
 // intShape reports whether the Poisson sums serve P(a, x) for x > 0: a
 // is a whole number in [1, maxIntShape] and x at most maxIntX.
 func intShape(a, x float64) bool {

@@ -40,26 +40,26 @@ func TestResponsesPinned(t *testing.T) {
 		name, path, body, want string
 	}{
 		{"hit", "/v1/hit", `{` + config + `, ` + profile + `, "breakdown": true}`,
-			"71870fbecd7131563b464bc399740091aa2cabeb76f1df18523db5ccdac3b96e"},
+			"59e7653b9af289c21b9c393225f1d10d6391ea253e8251255a3205d7ff0d3cfa"},
 		{"hit defaults", "/v1/hit", `{"config": {"l": 120, "b": 60, "n": 30}, "profile": {"dur": "exp:5"}}`,
-			"5f12141e09811de1cc68ebd90f43ae4f936ed051889f60873029ddde27609641"},
+			"6a37c62fb4ddbfa461eb2f1421cac3e7393b0dc96037111a2644ef2124a9db52"},
 		{"plan", "/v1/plan", `{` + movies + `, "maxStreams": 400, "maxBuffer": 300}`,
-			"684a27308f1bbb7ac91ef4880121948b8922a5449a90d53f7e3387c11add124b"},
+			"1fe1410dd8be489ac577f2b20a139d9d7a301e085b80956e78ac6f1109b414bc"},
 		{"curve", "/v1/curve", `{` + movies + `, "phi": 11, "maxPoints": 20}`,
 			"18b1761d7ac4d7875fb3b52e3c209fcaeee747b4a17ee9200c305a18f3e044a5"},
 		{"reserve", "/v1/reserve", `{` + config + `, ` + profile + `, "lambda": 0.5, "z": 2.5}`,
-			"a2cd341294ff9de4f278e2b3d63c638d072b62328bb80e16e84a7c3a6e331d50"},
+			"5a0d3e6b5f1e248448f2d0cce14f0b0f23cc3d2ba535a7da8908d247564ae4eb"},
 		{"simulate", "/v1/simulate", `{` + sim + `, "faults": "fail@300:d0,repair@500:d0"}`,
-			"f57ad9fa1c2327f2656c3184756119742abedc0554d4f658fa4082a2981d4210"},
+			"a5081bc9343f7c57d2f1cb89f3687caf1281c96c3075bdd4031a8716b40bf1ce"},
 		{"simulate random faults", "/v1/simulate", `{` + sim + `, "faults": "rand:7:400:100:6"}`,
-			"29ab7c1553ef23eafddecea9f17b0e41af5b939f4f46952664c17aeb04f6c9cb"},
+			"d29d428cc532153ccb29b706a5120cfbe0c066d4ec4c28b89d6ac11330df6953"},
 		{"simulate defaults", "/v1/simulate", `{"config": {"l": 120, "b": 60, "n": 30}, "lambda": 0.5, "seed": 2}`,
-			"5234da2f704cffb48a583b197a998aa8e3788de631acf1b2d33843e39b14062e"},
+			"172a1f148500dcfef821e0c32a301c85818288443fd444c56e38e150ed531142"},
 		{"simulate fluid", "/v1/simulate", `{"config": {"l": 120, "b": 30, "n": 30}, "lambda": 200,
 			"horizon": 400, "warmup": 40, "engine": "fluid", "particleRate": 5}`,
-			"ac16d2c16eb1de711c1de8058b680b72d5aacba417433b6901d38717d95a8ec8"},
+			"7d2f724ea835745233b905974a5a137c79243e7781a007c5359b8fe7ec27c115"},
 		{"replicate", "/v1/replicate", `{` + sim + `, "faults": "rand:7:400:100:6", "replications": 3}`,
-			"1fa4e964e88950e0c808bd4f07a32cc681c86d736248045146072a7a3e141c03"},
+			"54f76e21d062e862fb244a955fcada51a127af4a277cf7314b5b4ff40217efc8"},
 		{"cluster plan", "/v1/cluster/plan", `{` + movies + `, ` + shape + `}`,
 			"98f023054b7e02ea62301e703fc60e4b964a843ae688a0c568e2153b54377b0b"},
 		{"cluster plan auto", "/v1/cluster/plan", `{` + auto + `}`,
@@ -74,12 +74,12 @@ func TestResponsesPinned(t *testing.T) {
 			"diurnalAmp": 0.2, "budgetMB": 30000, "interval": 12, "frozen": true, "window": 45,
 			"gray": "slow:node0:d1@100-300:10,brownout:node1@150-350:0.5", "policy": "hedge",
 			"starveWait": 6, "evacuateDwell": 20, "hedgeBudget": 8, "diskHealth": true, "nodeDisks": 3}`,
-			"5e02f5356f0f4aadff6eb6b0bde182db262704d3e004482efdce93f2918d4339"},
+			"8635dabb63538932acad1780e3f6f3d86d7783f780455e37db6905b2804bd72d"},
 		{"cluster churn evacuate", "/v1/cluster/churn", `{"zipfMovies": 6, "nodes": 4, "nodeStreams": 400,
 			"nodeBuffer": 200, "replicas": 2, "lambda": 6, "horizon": 1200, "warmup": 100, "seed": 7,
 			"gray": "slow:node0@200-900:12", "policy": "hedge", "evacuateDwell": 10, "hedgeBudget": 4,
 			"interval": 10, "budgetMB": 200000, "diurnalPeriod": 400}`,
-			"4d4c3f7a3fc4f5f58b1131e86fe50e4ebecd05f840b905d27eb4b1f908e948ea"},
+			"6b1914f2a2a13f9da40eb9ec0a368f4aefd13a89d2e8d5d9247b9b7afb7d5ab8"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			rec := httptest.NewRecorder()
