@@ -80,13 +80,26 @@ func (s *Slot) Release() {
 // RepairDisk: a failed disk's slots leave the provisioned pool, and the
 // streams it carried are orphaned — their slots stay charged against
 // the dead spindle until released, and Release on such a slot does NOT
-// return it to the live pool.
+// return it to the live pool. A repair re-admits held orphans only up
+// to the stream budget; the rest stay lost until released.
+//
+// The live disks sit in a binary min-heap ordered by (load, index), so
+// the least-loaded disk Allocate wants is the root, and every load
+// change, failure, repair and elastic growth costs O(log disks).
 type Array struct {
 	perDisk int
 	load    []int  // streams in use per disk (live or failed)
 	failed  []bool // per-disk failure flag
-	inUse   int    // allocated slots on live disks
-	lost    int    // allocated slots stranded on failed disks
+	// heap holds the live disks' indices in (load, index) heap order;
+	// its length is the live-disk count. at[i] is disk i's position in
+	// heap, or -1 while disk i is failed.
+	heap []int
+	at   []int
+	// excess counts, per live disk, the slots its repair found held past
+	// the stream budget; they stay lost until released.
+	excess  []int
+	inUse   int // allocated slots on live disks, excess aside
+	lost    int // allocated slots on failed disks, plus excess
 	peak    int
 	elastic bool
 	limit   int // total stream cap (0 = slots only)
@@ -103,7 +116,18 @@ func NewArray(numDisks, perDisk int) (*Array, error) {
 	if numDisks < 1 || perDisk < 1 {
 		return nil, fmt.Errorf("%w: numDisks=%d perDisk=%d must be positive", ErrBadParam, numDisks, perDisk)
 	}
-	return &Array{perDisk: perDisk, load: make([]int, numDisks), failed: make([]bool, numDisks)}, nil
+	return newArray(numDisks, perDisk), nil
+}
+
+// newArray provisions numDisks empty live disks. Equal loads make the
+// identity order a valid heap.
+func newArray(numDisks, perDisk int) *Array {
+	a := &Array{perDisk: perDisk, load: make([]int, numDisks), failed: make([]bool, numDisks),
+		heap: make([]int, numDisks), at: make([]int, numDisks), excess: make([]int, numDisks)}
+	for i := range a.heap {
+		a.heap[i], a.at[i] = i, i
+	}
+	return a
 }
 
 // NewElastic builds an array that adds disks (of perDisk slots each) as
@@ -124,8 +148,9 @@ func NewLimited(perDisk, limit int) (*Array, error) {
 	if perDisk < 1 || limit < 1 {
 		return nil, fmt.Errorf("%w: perDisk=%d limit=%d must be positive", ErrBadParam, perDisk, limit)
 	}
-	disks := (limit + perDisk - 1) / perDisk
-	return &Array{perDisk: perDisk, load: make([]int, disks), failed: make([]bool, disks), limit: limit}, nil
+	a := newArray((limit+perDisk-1)/perDisk, perDisk)
+	a.limit = limit
+	return a, nil
 }
 
 // Capacity returns the currently provisioned stream capacity: slots on
@@ -143,15 +168,7 @@ func (a *Array) Capacity() int {
 func (a *Array) Disks() int { return len(a.load) }
 
 // LiveDisks returns the number of provisioned disks in service.
-func (a *Array) LiveDisks() int {
-	n := 0
-	for _, f := range a.failed {
-		if !f {
-			n++
-		}
-	}
-	return n
-}
+func (a *Array) LiveDisks() int { return len(a.heap) }
 
 // FailedDisks returns the number of disks currently out of service.
 func (a *Array) FailedDisks() int { return len(a.load) - a.LiveDisks() }
@@ -174,7 +191,8 @@ func (a *Array) Failures() uint64 { return a.failures }
 func (a *Array) TransientFailures() uint64 { return a.transients }
 
 // Lost returns the number of allocated slots currently stranded on
-// failed disks (orphans not yet released by their holders).
+// failed disks (orphans not yet released by their holders), plus those
+// a repair found held past the stream budget.
 func (a *Array) Lost() int { return a.lost }
 
 // Allocate leases a stream slot on the least-loaded live disk, balancing
@@ -193,22 +211,22 @@ func (a *Array) Allocate() (*Slot, error) {
 		a.failures++
 		return nil, fmt.Errorf("%w: %d streams at the provisioned limit", ErrExhausted, a.inUse)
 	}
-	best := -1
-	for i, l := range a.load {
-		if !a.failed[i] && l < a.perDisk && (best == -1 || l < a.load[best]) {
-			best = i
-		}
-	}
-	if best == -1 {
+	// The root is the lowest-index least-loaded live disk; when it is
+	// full, every live disk is.
+	if len(a.heap) == 0 || a.load[a.heap[0]] >= a.perDisk {
 		if !a.elastic {
 			a.failures++
 			return nil, fmt.Errorf("%w: %d streams on %d live disks", ErrExhausted, a.inUse, a.LiveDisks())
 		}
 		a.load = append(a.load, 0)
 		a.failed = append(a.failed, false)
-		best = len(a.load) - 1
+		a.at = append(a.at, 0)
+		a.excess = append(a.excess, 0)
+		a.push(len(a.load) - 1)
 	}
+	best := a.heap[0]
 	a.load[best]++
+	a.down(0)
 	a.inUse++
 	a.allocs++
 	if a.inUse > a.peak {
@@ -226,7 +244,13 @@ func (a *Array) release(diskID int) {
 		a.lost--
 		return
 	}
-	a.inUse--
+	if a.excess[diskID] > 0 {
+		a.excess[diskID]--
+		a.lost--
+	} else {
+		a.inUse--
+	}
+	a.up(a.at[diskID])
 }
 
 // FailDisk takes disk i out of service and returns the number of
@@ -241,15 +265,18 @@ func (a *Array) FailDisk(i int) (orphans int, err error) {
 		return 0, nil
 	}
 	a.failed[i] = true
+	a.remove(i)
 	orphans = a.load[i]
-	a.inUse -= orphans
-	a.lost += orphans
+	a.inUse -= orphans - a.excess[i]
+	a.lost += orphans - a.excess[i]
+	a.excess[i] = 0
 	return orphans, nil
 }
 
 // RepairDisk returns disk i to service. Slots still held on it (not yet
-// released by their orphaned owners) rejoin the live accounting.
-// Repairing a live disk is a no-op.
+// released by their orphaned owners) rejoin the live accounting, as
+// many as the stream budget has room for; the rest stay lost until
+// released. Repairing a live disk is a no-op.
 func (a *Array) RepairDisk(i int) error {
 	if i < 0 || i >= len(a.load) {
 		return fmt.Errorf("%w: %d of %d", ErrNoDisk, i, len(a.load))
@@ -258,8 +285,14 @@ func (a *Array) RepairDisk(i int) error {
 		return nil
 	}
 	a.failed[i] = false
-	a.inUse += a.load[i]
-	a.lost -= a.load[i]
+	a.push(i)
+	back := a.load[i]
+	if a.limit > 0 {
+		back = min(back, a.limit-a.inUse)
+	}
+	a.excess[i] = a.load[i] - back
+	a.inUse += back
+	a.lost -= back
 	if a.inUse > a.peak {
 		a.peak = a.inUse
 	}
@@ -280,19 +313,41 @@ func (a *Array) InjectTransient(n int) {
 }
 
 // CheckInvariant verifies the array's accounting: every per-disk load
-// within [0, perDisk], in-use equal to the live-disk loads, lost equal
-// to the failed-disk loads, and in-use + free == provisioned capacity
-// (with free never negative). It returns the first violation found.
+// within [0, perDisk], in-use equal to the live-disk loads net of their
+// excess, lost equal to the failed-disk loads plus that excess, and
+// in-use + free == provisioned capacity (with free never negative). It
+// also verifies the live-disk heap: each live disk held exactly once,
+// at its recorded position, no failed disk held, and (load, index) heap
+// order. It returns the first violation found.
 func (a *Array) CheckInvariant() error {
-	live, dead := 0, 0
+	live, dead, liveDisks := 0, 0, 0
 	for i, l := range a.load {
 		if l < 0 || l > a.perDisk {
 			return fmt.Errorf("disk: invariant: disk %d load %d outside [0, %d]", i, l, a.perDisk)
 		}
+		if x := a.excess[i]; x < 0 || x > l || a.failed[i] && x != 0 {
+			return fmt.Errorf("disk: invariant: disk %d excess %d outside [0, %d]", i, x, l)
+		}
 		if a.failed[i] {
 			dead += l
-		} else {
-			live += l
+			if a.at[i] != -1 {
+				return fmt.Errorf("disk: invariant: failed disk %d in the heap at %d", i, a.at[i])
+			}
+			continue
+		}
+		live += l - a.excess[i]
+		dead += a.excess[i]
+		liveDisks++
+		if p := a.at[i]; p < 0 || p >= len(a.heap) || a.heap[p] != i {
+			return fmt.Errorf("disk: invariant: live disk %d not in the heap at its position %d", i, p)
+		}
+	}
+	if liveDisks != len(a.heap) {
+		return fmt.Errorf("disk: invariant: %d live disks, heap holds %d", liveDisks, len(a.heap))
+	}
+	for p := 1; p < len(a.heap); p++ {
+		if a.less(a.heap[p], a.heap[(p-1)/2]) {
+			return fmt.Errorf("disk: invariant: heap order broken at position %d", p)
 		}
 	}
 	if live != a.inUse {
@@ -326,4 +381,66 @@ func (a *Array) MaxDiskLoad() int {
 		}
 	}
 	return m
+}
+
+// less orders disks for the heap: by load, then by index.
+func (a *Array) less(i, j int) bool {
+	return a.load[i] < a.load[j] || a.load[i] == a.load[j] && i < j
+}
+
+// swap exchanges heap positions p and q.
+func (a *Array) swap(p, q int) {
+	h := a.heap
+	h[p], h[q] = h[q], h[p]
+	a.at[h[p]], a.at[h[q]] = p, q
+}
+
+// up sifts the disk at heap position p toward the root.
+func (a *Array) up(p int) {
+	for p > 0 {
+		q := (p - 1) / 2
+		if !a.less(a.heap[p], a.heap[q]) {
+			return
+		}
+		a.swap(p, q)
+		p = q
+	}
+}
+
+// down sifts the disk at heap position p toward the leaves.
+func (a *Array) down(p int) {
+	n := len(a.heap)
+	for {
+		c := 2*p + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && a.less(a.heap[r], a.heap[c]) {
+			c = r
+		}
+		if !a.less(a.heap[c], a.heap[p]) {
+			return
+		}
+		a.swap(p, c)
+		p = c
+	}
+}
+
+// push adds live disk i to the heap.
+func (a *Array) push(i int) {
+	a.at[i] = len(a.heap)
+	a.heap = append(a.heap, i)
+	a.up(a.at[i])
+}
+
+// remove takes disk i out of the heap.
+func (a *Array) remove(i int) {
+	p, last := a.at[i], len(a.heap)-1
+	a.swap(p, last)
+	a.heap = a.heap[:last]
+	a.at[i] = -1
+	if p < last {
+		a.down(p)
+		a.up(p)
+	}
 }
