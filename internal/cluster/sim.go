@@ -107,10 +107,6 @@ type SimConfig struct {
 	ParticleRate   float64
 }
 
-// nodeStreamsPerDisk is the disk-array granularity on every node (the
-// sim default).
-const nodeStreamsPerDisk = 10
-
 // Validate checks the configuration: the routing pass's churn
 // configuration (placement, catalog, rate, horizon, warmup and faults),
 // then the per-node simulation settings.
@@ -405,7 +401,6 @@ func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, pat
 			Horizon:        cfg.Horizon,
 			Warmup:         cfg.Warmup,
 			Seed:           cfg.Seed + int64(i+1)*1000003,
-			StreamsPerDisk: nodeStreamsPerDisk,
 			Engine:         cfg.Engine,
 			FluidThreshold: cfg.FluidThreshold,
 			ParticleRate:   cfg.ParticleRate,
@@ -430,7 +425,7 @@ func simulateNodes(ctx context.Context, cfg SimConfig, movieRates []float64, pat
 			// healthy nodes keep the configured engine.
 			sc.Engine = sim.EngineDES
 			sc.TotalStreams = node.MaxStreams
-			disks := (node.MaxStreams + nodeStreamsPerDisk - 1) / nodeStreamsPerDisk
+			disks := (node.MaxStreams + sim.StreamsPerDisk - 1) / sim.StreamsPerDisk
 			var sched faults.Schedule
 			for _, f := range nf {
 				for d := 0; d < disks; d++ {

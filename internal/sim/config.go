@@ -62,9 +62,6 @@ type Config struct {
 	// 0 means unlimited (the experiments measure demand rather than
 	// enforce a budget).
 	MaxDedicated int
-	// StreamsPerDisk controls placement granularity of dedicated streams
-	// on the simulated disk array (default 10, Example 2's figure).
-	StreamsPerDisk int
 	// Tracer, when non-nil, receives a structured event at every viewer
 	// and stream transition (see internal/trace).
 	Tracer trace.Tracer
@@ -73,7 +70,7 @@ type Config struct {
 	AbandonMean float64
 	// TotalStreams caps the shared disk array's I/O streams across batch
 	// and dedicated use combined; 0 leaves the array elastic. A positive
-	// cap (together with StreamsPerDisk) fixes the disk count, which is
+	// cap fixes the disk count, ⌈TotalStreams/StreamsPerDisk⌉, which is
 	// what fault schedules target.
 	TotalStreams int
 	// Faults is a deterministic fault schedule injected into the run as
@@ -109,7 +106,6 @@ func (c Config) server() ServerConfig {
 		Piggyback:      c.Piggyback,
 		Slew:           c.Slew,
 		MaxDedicated:   c.MaxDedicated,
-		StreamsPerDisk: c.StreamsPerDisk,
 		Tracer:         c.Tracer,
 		TotalStreams:   c.TotalStreams,
 		Faults:         c.Faults,
