@@ -6,10 +6,10 @@
 // operations who land inside the retained window — read from memory
 // instead of consuming a disk stream.
 //
-// The package provides two pieces: Pool, which accounts for a global
-// buffer budget in movie-minutes (with an optional per-partition reserve
-// δ that keeps the first viewer from overwriting frames the last viewer
-// has not consumed, paper §3.1); and Partition, the pure window
+// The package provides two pieces: Pool, which accounts for buffer use
+// in movie-minutes and records its peak (with an optional per-partition
+// reserve δ that keeps the first viewer from overwriting frames the last
+// viewer has not consumed, paper §3.1); and Partition, the pure window
 // arithmetic of one batch stream including the end-of-movie drain phase
 // (the buffered window survives for span minutes after the stream head
 // passes the end while trailing viewers finish).
@@ -21,42 +21,25 @@ import (
 	"math"
 )
 
-// ErrExhausted is returned by Reserve when the pool budget is insufficient.
-var ErrExhausted = errors.New("buffer: pool exhausted")
-
 // ErrBadParam reports invalid parameters.
 var ErrBadParam = errors.New("buffer: invalid parameter")
 
-// Pool tracks a buffer budget measured in movie-minutes. A fixed pool
-// rejects reservations beyond its capacity; an elastic pool grows and
-// records the peak demand.
+// Pool accounts for buffer use measured in movie-minutes. It grows on
+// demand and records the peak, which is the buffer a run needed.
 type Pool struct {
-	capacity float64
-	used     float64
-	peak     float64
-	elastic  bool
+	used float64
+	peak float64
 }
 
-// NewPool creates a fixed pool holding capacity movie-minutes.
-func NewPool(capacity float64) (*Pool, error) {
-	if !(capacity >= 0) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("%w: capacity %v", ErrBadParam, capacity)
-	}
-	return &Pool{capacity: capacity}, nil
-}
-
-// NewElasticPool creates a pool that grows on demand and records peak use.
+// NewElasticPool creates an empty pool.
 func NewElasticPool() *Pool {
-	return &Pool{elastic: true}
+	return &Pool{}
 }
 
-// Reserve takes minutes from the budget.
+// Reserve adds minutes to the pool's use.
 func (p *Pool) Reserve(minutes float64) error {
 	if !(minutes >= 0) || math.IsInf(minutes, 0) {
 		return fmt.Errorf("%w: reserve %v", ErrBadParam, minutes)
-	}
-	if !p.elastic && p.used+minutes > p.capacity+1e-9 {
-		return fmt.Errorf("%w: want %.3f, free %.3f", ErrExhausted, minutes, p.capacity-p.used)
 	}
 	p.used += minutes
 	if p.used > p.peak {
@@ -65,7 +48,7 @@ func (p *Pool) Reserve(minutes float64) error {
 	return nil
 }
 
-// Release returns minutes to the budget. Releasing more than is in use
+// Release returns minutes to the pool. Releasing more than is in use
 // indicates an accounting bug and returns ErrBadParam.
 func (p *Pool) Release(minutes float64) error {
 	if !(minutes >= 0) || minutes > p.used+1e-9 {
@@ -80,9 +63,6 @@ func (p *Pool) InUse() float64 { return p.used }
 
 // Peak returns the maximum reservation level observed.
 func (p *Pool) Peak() float64 { return p.peak }
-
-// Capacity returns the fixed capacity (0 for elastic pools).
-func (p *Pool) Capacity() float64 { return p.capacity }
 
 // Partition is the buffered window of one batch stream. The stream
 // starts at simulation time Start at movie position 0 and advances at

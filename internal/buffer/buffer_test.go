@@ -9,18 +9,12 @@ import (
 )
 
 func TestPoolReserveRelease(t *testing.T) {
-	p, err := NewPool(100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewElasticPool()
 	if err := p.Reserve(60); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Reserve(40); err != nil {
 		t.Fatal(err)
-	}
-	if err := p.Reserve(1); !errors.Is(err, ErrExhausted) {
-		t.Errorf("want ErrExhausted, got %v", err)
 	}
 	if p.InUse() != 100 || p.Peak() != 100 {
 		t.Errorf("use=%g peak=%g", p.InUse(), p.Peak())
@@ -31,13 +25,13 @@ func TestPoolReserveRelease(t *testing.T) {
 	if err := p.Reserve(25); err != nil {
 		t.Errorf("reserve after release: %v", err)
 	}
-	if p.Peak() != 100 {
-		t.Errorf("peak should stay 100, got %g", p.Peak())
+	if p.InUse() != 95 || p.Peak() != 100 {
+		t.Errorf("use=%g peak=%g, want 95 and 100", p.InUse(), p.Peak())
 	}
 }
 
 func TestPoolReleaseTooMuch(t *testing.T) {
-	p, _ := NewPool(10)
+	p := NewElasticPool()
 	_ = p.Reserve(5)
 	if err := p.Release(6); !errors.Is(err, ErrBadParam) {
 		t.Errorf("over-release: want ErrBadParam, got %v", err)
@@ -48,15 +42,11 @@ func TestPoolReleaseTooMuch(t *testing.T) {
 }
 
 func TestPoolValidation(t *testing.T) {
-	if _, err := NewPool(-1); !errors.Is(err, ErrBadParam) {
-		t.Error("negative capacity must fail")
-	}
-	if _, err := NewPool(math.Inf(1)); !errors.Is(err, ErrBadParam) {
-		t.Error("infinite capacity must fail")
-	}
-	p, _ := NewPool(5)
-	if err := p.Reserve(math.NaN()); !errors.Is(err, ErrBadParam) {
-		t.Error("NaN reserve must fail")
+	p := NewElasticPool()
+	for _, bad := range []float64{-1, math.NaN(), math.Inf(1)} {
+		if err := p.Reserve(bad); !errors.Is(err, ErrBadParam) {
+			t.Errorf("reserve %v: want ErrBadParam, got %v", bad, err)
+		}
 	}
 }
 
@@ -221,21 +211,18 @@ func TestPropertyWindowInvariants(t *testing.T) {
 func TestPropertyPoolConservation(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		p, err := NewPool(50)
-		if err != nil {
-			return false
-		}
+		p := NewElasticPool()
 		var held []float64
-		var total float64
+		var total, peak float64
 		for i := 0; i < 100; i++ {
 			if rng.Float64() < 0.6 {
 				amt := rng.Float64() * 10
-				if err := p.Reserve(amt); err == nil {
-					held = append(held, amt)
-					total += amt
-				} else if total+amt <= 50 {
-					return false // spurious exhaustion
+				if err := p.Reserve(amt); err != nil {
+					return false
 				}
+				held = append(held, amt)
+				total += amt
+				peak = math.Max(peak, total)
 			} else if len(held) > 0 {
 				j := rng.Intn(len(held))
 				if err := p.Release(held[j]); err != nil {
@@ -244,7 +231,7 @@ func TestPropertyPoolConservation(t *testing.T) {
 				total -= held[j]
 				held = append(held[:j], held[j+1:]...)
 			}
-			if math.Abs(p.InUse()-total) > 1e-6 {
+			if math.Abs(p.InUse()-total) > 1e-6 || math.Abs(p.Peak()-peak) > 1e-6 {
 				return false
 			}
 		}

@@ -129,7 +129,7 @@ func TestIdentityCompleteSimConfig(t *testing.T) {
 		Profile:     twoMovieCatalog()[0].Profile,
 		Horizon:     3000, Warmup: 300, Seed: 7,
 		Piggyback: true, Slew: 0.05,
-		MaxDedicated: 40, AbandonMean: 40, TotalStreams: 60,
+		MaxDedicated: 40, TotalStreams: 60,
 		Faults: faults.Schedule{
 			{At: 400, Kind: faults.DiskFail, Disk: 1},
 			{At: 800, Kind: faults.DiskRepair, Disk: 1},

@@ -115,7 +115,7 @@ func (c Config) Validate() error {
 // Env is the shared simulation environment a fluid movie plugs into:
 // the host server's kernel, rng and resource accounting. ViewersTW and
 // DedTW receive this movie's fractional level contributions; Fail
-// surfaces a mid-run buffer exhaustion (the host halts the kernel).
+// surfaces a pool accounting error mid-run (the host halts the kernel).
 type Env struct {
 	K     *des.Kernel
 	RNG   *rand.Rand

@@ -338,40 +338,3 @@ func (r *Reservoir) Quantile(q float64) float64 {
 	}
 	return Percentile(r.sample, q*100)
 }
-
-// BatchMeans estimates the mean of a correlated stationary series with a
-// batch-means confidence interval: the stream is cut into contiguous
-// batches of BatchSize observations, and the batch averages — far less
-// correlated than the raw points — feed a Welford accumulator. The
-// right tool for within-run simulation series (consecutive resumes by
-// the same viewer are correlated, so a plain Wilson/normal interval is
-// too narrow).
-type BatchMeans struct {
-	BatchSize int
-	current   float64
-	count     int
-	batches   Welford
-}
-
-// Add incorporates one observation.
-func (b *BatchMeans) Add(x float64) {
-	if b.BatchSize < 1 {
-		b.BatchSize = 64
-	}
-	b.current += x
-	b.count++
-	if b.count == b.BatchSize {
-		b.batches.Add(b.current / float64(b.BatchSize))
-		b.current, b.count = 0, 0
-	}
-}
-
-// Batches returns the number of completed batches.
-func (b *BatchMeans) Batches() uint64 { return b.batches.N() }
-
-// Mean returns the mean over completed batches.
-func (b *BatchMeans) Mean() float64 { return b.batches.Mean() }
-
-// CI95 returns the batch-means 95% half-width (infinite with fewer than
-// two completed batches).
-func (b *BatchMeans) CI95() float64 { return b.batches.CI95() }

@@ -349,63 +349,3 @@ func TestReservoirSmallStream(t *testing.T) {
 		t.Error("zero capacity must fail")
 	}
 }
-
-func TestBatchMeansIID(t *testing.T) {
-	// On i.i.d. data batch means agree with the plain mean, and the CI
-	// is in the same ballpark as the classical one.
-	rng := rand.New(rand.NewSource(5))
-	var bm BatchMeans
-	bm.BatchSize = 50
-	var plain Welford
-	for i := 0; i < 50*200; i++ {
-		x := rng.NormFloat64() + 3
-		bm.Add(x)
-		plain.Add(x)
-	}
-	if bm.Batches() != 200 {
-		t.Fatalf("batches %d", bm.Batches())
-	}
-	if math.Abs(bm.Mean()-plain.Mean()) > 1e-9 {
-		t.Errorf("means differ: %g vs %g", bm.Mean(), plain.Mean())
-	}
-	ratio := bm.CI95() / plain.CI95()
-	if ratio < 0.7 || ratio > 1.4 {
-		t.Errorf("iid CI ratio %.2f should be ≈1", ratio)
-	}
-}
-
-func TestBatchMeansWidensForCorrelatedSeries(t *testing.T) {
-	// AR(1) with strong positive correlation: the naive CI is badly
-	// overconfident; batch means must be wider.
-	rng := rand.New(rand.NewSource(6))
-	var bm BatchMeans
-	bm.BatchSize = 100
-	var plain Welford
-	x := 0.0
-	for i := 0; i < 100*300; i++ {
-		x = 0.95*x + rng.NormFloat64()
-		bm.Add(x)
-		plain.Add(x)
-	}
-	if bm.CI95() < 2*plain.CI95() {
-		t.Errorf("batch-means CI %.4f should dwarf the naive %.4f on AR(1)",
-			bm.CI95(), plain.CI95())
-	}
-}
-
-func TestBatchMeansDefaults(t *testing.T) {
-	var bm BatchMeans // zero value: default batch size kicks in
-	for i := 0; i < 200; i++ {
-		bm.Add(1)
-	}
-	if bm.BatchSize != 64 || bm.Batches() != 3 {
-		t.Errorf("defaults: size=%d batches=%d", bm.BatchSize, bm.Batches())
-	}
-	if math.IsInf(bm.CI95(), 1) {
-		t.Error("3 batches should give a finite CI")
-	}
-	var empty BatchMeans
-	if !math.IsInf(empty.CI95(), 1) {
-		t.Error("no batches → infinite CI")
-	}
-}

@@ -27,10 +27,10 @@ import (
 	"sync/atomic"
 )
 
-// Error reports the failure of one item of a Map or ForEach sweep. Among
-// the items that failed, the smallest index is reported, so the error a
-// caller sees does not depend on worker count or scheduling. Unwrap
-// exposes the item's own error for errors.Is/As.
+// Error reports the failure of one item of a Map sweep. Among the items
+// that failed, the smallest index is reported, so the error a caller
+// sees does not depend on worker count or scheduling. Unwrap exposes the
+// item's own error for errors.Is/As.
 type Error struct {
 	// Index is the item that failed.
 	Index int
@@ -198,12 +198,4 @@ func Map[T any](ctx context.Context, o Opts, n int, fn func(ctx context.Context,
 		return nil, err
 	}
 	return out, nil
-}
-
-// ForEach is Map for side-effecting sweeps with no per-item result.
-func ForEach(ctx context.Context, o Opts, n int, fn func(ctx context.Context, i int) error) error {
-	_, err := Map(ctx, o, n, func(ctx context.Context, i int) (struct{}, error) {
-		return struct{}{}, fn(ctx, i)
-	})
-	return err
 }

@@ -180,14 +180,3 @@ func TestPoolNilAndCap(t *testing.T) {
 		t.Fatal("pool capacity not respected")
 	}
 }
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	if err := ForEach(context.Background(), Opts{Workers: 4}, 10,
-		func(_ context.Context, i int) error { sum.Add(int64(i)); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Load() != 45 {
-		t.Fatalf("sum %d want 45", sum.Load())
-	}
-}

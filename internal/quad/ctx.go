@@ -9,9 +9,8 @@ import (
 // routines. The serving stack runs model evaluations under per-request
 // wall-clock budgets; when the request is canceled the integration must
 // stop burning CPU promptly rather than completing a doomed sweep. Each
-// routine checks ctx between panels (GaussPanelsCtx, Tensor2Ctx) or
-// refinement steps (AdaptiveCtx), so cancellation latency is bounded by
-// one panel's worth of integrand evaluations. The summation order is
+// routine checks ctx between panels, so cancellation latency is bounded
+// by one panel's worth of integrand evaluations. The summation order is
 // identical to the non-ctx routines, so results are bit-for-bit equal
 // when the context never fires.
 
@@ -72,71 +71,4 @@ func AutoPanelsCtx(ctx context.Context, f Func, a, b, tol float64, maxPanels int
 		}
 		prev = cur
 	}
-}
-
-// Tensor2Ctx is Tensor2 with cancellation checkpoints on the outer
-// panels: a done context stops the integration within one outer panel
-// (py inner integrals).
-func Tensor2Ctx(ctx context.Context, g Func2, ax, bx, ay, by float64, px, py int) (float64, error) {
-	outer := func(x float64) float64 {
-		return GaussPanels(func(y float64) float64 { return g(x, y) }, ay, by, py)
-	}
-	return GaussPanelsCtx(ctx, outer, ax, bx, px)
-}
-
-// AdaptiveCtx is Adaptive with a cancellation checkpoint at every
-// refinement step: a done context returns ctx.Err() after at most one
-// additional Simpson refinement (two integrand evaluations).
-func AdaptiveCtx(ctx context.Context, f Func, a, b float64, tol float64) (float64, error) {
-	if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-		return 0, ErrInvalidInterval
-	}
-	if tol <= 0 {
-		tol = DefaultTol
-	}
-	if a == b {
-		return 0, ctx.Err()
-	}
-	sign := 1.0
-	if a > b {
-		a, b = b, a
-		sign = -1
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	fa, fb := f(a), f(b)
-	m := 0.5 * (a + b)
-	fm := f(m)
-	whole := simpsonRule(a, b, fa, fm, fb)
-	v, err := adaptStepCtx(ctx, f, a, b, fa, fm, fb, whole, tol, maxDepth)
-	if err != nil {
-		return 0, err
-	}
-	return sign * v, nil
-}
-
-func adaptStepCtx(ctx context.Context, f Func, a, b, fa, fm, fb, whole, tol float64, depth int) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	m := 0.5 * (a + b)
-	lm := 0.5 * (a + m)
-	rm := 0.5 * (m + b)
-	flm, frm := f(lm), f(rm)
-	left := simpsonRule(a, m, fa, flm, fm)
-	right := simpsonRule(m, b, fm, frm, fb)
-	delta := left + right - whole
-	if depth <= 0 || math.Abs(delta) <= 15*tol {
-		return left + right + delta/15, nil
-	}
-	l, err := adaptStepCtx(ctx, f, a, m, fa, flm, fm, left, tol/2, depth-1)
-	if err != nil {
-		return 0, err
-	}
-	r, err := adaptStepCtx(ctx, f, m, b, fm, frm, fb, right, tol/2, depth-1)
-	if err != nil {
-		return 0, err
-	}
-	return l + r, nil
 }

@@ -28,25 +28,6 @@ func TestCtxVariantsMatchPlain(t *testing.T) {
 			t.Errorf("GaussPanelsCtx(%v, %v, %d) = %v, plain = %v", c.a, c.b, c.panels, got, want)
 		}
 	}
-
-	wantA, errA := Adaptive(f, 0, 5, 1e-10)
-	gotA, err := AdaptiveCtx(ctx, f, 0, 5, 1e-10)
-	if errA != nil || err != nil {
-		t.Fatalf("adaptive errors: %v, %v", errA, err)
-	}
-	if gotA != wantA {
-		t.Errorf("AdaptiveCtx = %v, Adaptive = %v", gotA, wantA)
-	}
-
-	g := func(x, y float64) float64 { return x*x + math.Cos(y) }
-	wantT := Tensor2(g, 0, 1, 0, 2, 3, 4)
-	gotT, err := Tensor2Ctx(ctx, g, 0, 1, 0, 2, 3, 4)
-	if err != nil {
-		t.Fatalf("Tensor2Ctx: %v", err)
-	}
-	if gotT != wantT {
-		t.Errorf("Tensor2Ctx = %v, Tensor2 = %v", gotT, wantT)
-	}
 }
 
 // TestCtxVariantsCanceledBeforeStart verifies every routine returns the
@@ -62,21 +43,14 @@ func TestCtxVariantsCanceledBeforeStart(t *testing.T) {
 		run  func() error
 	}{
 		{"GaussPanelsCtx", func() error { _, err := GaussPanelsCtx(ctx, f, 0, 1, 4); return err }},
-		{"AdaptiveCtx", func() error { _, err := AdaptiveCtx(ctx, f, 0, 1, 0); return err }},
-		{"Tensor2Ctx", func() error {
-			_, err := Tensor2Ctx(ctx, func(x, y float64) float64 { calls++; return x + y }, 0, 1, 0, 1, 2, 2)
-			return err
-		}},
+		{"AutoPanelsCtx", func() error { _, err := AutoPanelsCtx(ctx, f, 0, 1, 0, 32); return err }},
 	}
 	for _, c := range cases {
 		calls = 0
 		if err := c.run(); err != context.Canceled {
 			t.Errorf("%s on canceled ctx = %v, want context.Canceled", c.name, err)
 		}
-		// AdaptiveCtx samples its three bracketing points before the
-		// first refinement checkpoint; the panel routines evaluate
-		// nothing.
-		if calls > 3 {
+		if calls > 0 {
 			t.Errorf("%s evaluated the integrand %d times on a dead context", c.name, calls)
 		}
 	}
@@ -106,44 +80,6 @@ func TestGaussPanelsCtxCancelsWithinOnePanel(t *testing.T) {
 		if calls > at+nodesPerPanel {
 			t.Errorf("cancel at call %d: %d evaluations, want ≤ %d (one extra panel)",
 				at, calls, at+nodesPerPanel)
-		}
-	}
-}
-
-// TestAdaptiveCtxCancelsWithinOneRefinement cancels mid-recursion and
-// bounds the number of integrand evaluations after the cancellation to
-// one refinement step.
-func TestAdaptiveCtxCancelsWithinOneRefinement(t *testing.T) {
-	for _, at := range []int{5, 20, 100} {
-		ctx, cancel := context.WithCancel(context.Background())
-		calls := 0
-		// A kinked integrand forces deep refinement, so the recursion is
-		// still in progress when the cancellation lands.
-		f := func(x float64) float64 {
-			calls++
-			if calls == at {
-				cancel()
-			}
-			return math.Abs(x - math.Sqrt2/2)
-		}
-		_, err := AdaptiveCtx(ctx, f, 0, 1, 1e-14)
-		cancel()
-		if err != context.Canceled {
-			t.Fatalf("cancel at call %d: err = %v, want context.Canceled", at, err)
-		}
-		if calls > at+2 {
-			t.Errorf("cancel at call %d: %d evaluations, want ≤ %d (one refinement)", at, calls, at+2)
-		}
-	}
-}
-
-// TestCtxVariantsRejectBadIntervals mirrors the plain routines' input
-// validation.
-func TestCtxVariantsRejectBadIntervals(t *testing.T) {
-	ctx := context.Background()
-	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := AdaptiveCtx(ctx, func(x float64) float64 { return x }, 0, bad, 0); err != ErrInvalidInterval {
-			t.Errorf("AdaptiveCtx(0, %v) err = %v, want ErrInvalidInterval", bad, err)
 		}
 	}
 }

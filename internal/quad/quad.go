@@ -1,14 +1,14 @@
-// Package quad provides one- and two-dimensional numerical integration
-// routines used by the analytic hit-probability model.
+// Package quad provides the numerical integration routines used by the
+// analytic hit-probability model.
 //
 // The model in internal/analytic evaluates nested integrals of the form
 //
 //	∫ dVc ∫ dVf Σ_i [F(hi(Vc,Vf)) − F(lo(Vc,Vf))]
 //
 // whose integrands are piecewise smooth with a modest number of kinks
-// (interval boundaries clipped against 0 and l−Vc). Adaptive Simpson
-// handles the kinks robustly; fixed-order Gauss–Legendre is used for the
-// smooth inner integrals where speed matters.
+// (interval boundaries clipped against 0 and l−Vc). Composite
+// Gauss–Legendre panels evaluate them; adaptive Simpson is the
+// reference the tests hold the panel rules to.
 package quad
 
 import (
@@ -33,36 +33,6 @@ var ErrInvalidInterval = errors.New("quad: interval bounds must be finite")
 
 // Func is a scalar integrand.
 type Func func(x float64) float64
-
-// Func2 is a two-dimensional integrand.
-type Func2 func(x, y float64) float64
-
-// Simpson computes the composite Simpson approximation of f over [a, b]
-// using n subintervals (rounded up to the next even number, minimum 2).
-// It is exact for cubic polynomials and serves both as a cheap fixed-cost
-// rule and as the reference oracle in tests of the adaptive routine.
-func Simpson(f Func, a, b float64, n int) float64 {
-	if a == b {
-		return 0
-	}
-	if n < 2 {
-		n = 2
-	}
-	if n%2 == 1 {
-		n++
-	}
-	h := (b - a) / float64(n)
-	sum := f(a) + f(b)
-	for i := 1; i < n; i++ {
-		x := a + float64(i)*h
-		if i%2 == 1 {
-			sum += 4 * f(x)
-		} else {
-			sum += 2 * f(x)
-		}
-	}
-	return sum * h / 3
-}
 
 // Adaptive integrates f over [a, b] with adaptive Simpson refinement until
 // the local error estimate is below tol (DefaultTol when tol <= 0).
@@ -128,22 +98,6 @@ var gauss20 = [...]struct{ x, w float64 }{
 	{0.9122344282513259, 0.0626720483341091},
 	{0.9639719272779138, 0.0406014298003869},
 	{0.9931285991850949, 0.0176140071391521},
-}
-
-// Gauss20 integrates f over [a, b] with a single 20-point Gauss–Legendre
-// panel. Exact for polynomials up to degree 39; intended for smooth
-// integrands on short intervals.
-func Gauss20(f Func, a, b float64) float64 {
-	if a == b {
-		return 0
-	}
-	c := 0.5 * (a + b)
-	h := 0.5 * (b - a)
-	var sum float64
-	for _, n := range gauss20 {
-		sum += n.w * (f(c+h*n.x) + f(c-h*n.x))
-	}
-	return sum * h
 }
 
 // node is one abscissa/weight pair of a composite rule on [0, 1].
@@ -222,70 +176,4 @@ func AutoPanels(f Func, a, b, tol float64, maxPanels int) float64 {
 		}
 		prev = cur
 	}
-}
-
-// Tensor2 integrates g over the rectangle [ax,bx] × [ay,by] using nested
-// Gauss–Legendre panels (px × py panels). It is the workhorse for
-// unconditioning over (Vc, Vf) in the analytic model, where the inner
-// integrand is smooth within a panel-aligned decomposition.
-func Tensor2(g Func2, ax, bx, ay, by float64, px, py int) float64 {
-	outer := func(x float64) float64 {
-		return GaussPanels(func(y float64) float64 { return g(x, y) }, ay, by, py)
-	}
-	return GaussPanels(outer, ax, bx, px)
-}
-
-// Trapezoid computes the composite trapezoid approximation of f over [a,b]
-// with n subintervals (minimum 1). Used as a second independent oracle in
-// tests.
-func Trapezoid(f Func, a, b float64, n int) float64 {
-	if a == b {
-		return 0
-	}
-	if n < 1 {
-		n = 1
-	}
-	h := (b - a) / float64(n)
-	sum := 0.5 * (f(a) + f(b))
-	for i := 1; i < n; i++ {
-		sum += f(a + float64(i)*h)
-	}
-	return sum * h
-}
-
-// Romberg integrates f over [a, b] with Romberg extrapolation of the
-// trapezoid rule to the given number of levels (rows of the tableau,
-// clamped to [2, 20]). An independent high-order method used to
-// cross-check the Gauss and Simpson rules in tests.
-func Romberg(f Func, a, b float64, levels int) float64 {
-	if a == b {
-		return 0
-	}
-	if levels < 2 {
-		levels = 2
-	}
-	if levels > 20 {
-		levels = 20
-	}
-	r := make([][]float64, levels)
-	h := b - a
-	r[0] = []float64{0.5 * h * (f(a) + f(b))}
-	for k := 1; k < levels; k++ {
-		h /= 2
-		// Trapezoid refinement: add the new midpoints.
-		var sum float64
-		pts := 1 << (k - 1)
-		for i := 0; i < pts; i++ {
-			sum += f(a + (2*float64(i)+1)*h)
-		}
-		r[k] = make([]float64, k+1)
-		r[k][0] = 0.5*r[k-1][0] + h*sum
-		// Richardson extrapolation across the row.
-		pow := 4.0
-		for j := 1; j <= k; j++ {
-			r[k][j] = (pow*r[k][j-1] - r[k-1][j-1]) / (pow - 1)
-			pow *= 4
-		}
-	}
-	return r[levels-1][levels-1]
 }

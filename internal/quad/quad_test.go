@@ -10,37 +10,6 @@ func almostEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-func TestSimpsonPolynomialExactness(t *testing.T) {
-	// Simpson is exact for cubics.
-	cases := []struct {
-		name string
-		f    Func
-		a, b float64
-		want float64
-	}{
-		{"constant", func(x float64) float64 { return 3 }, 0, 5, 15},
-		{"linear", func(x float64) float64 { return 2 * x }, 0, 4, 16},
-		{"quadratic", func(x float64) float64 { return x * x }, 0, 3, 9},
-		{"cubic", func(x float64) float64 { return x * x * x }, -1, 2, 3.75},
-	}
-	for _, c := range cases {
-		got := Simpson(c.f, c.a, c.b, 2)
-		if !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("%s: Simpson=%g want %g", c.name, got, c.want)
-		}
-	}
-}
-
-func TestSimpsonOddNRoundsUp(t *testing.T) {
-	f := func(x float64) float64 { return x * x }
-	if got := Simpson(f, 0, 3, 3); !almostEqual(got, 9, 1e-12) {
-		t.Errorf("odd n: got %g want 9", got)
-	}
-	if got := Simpson(f, 0, 3, 0); !almostEqual(got, 9, 1e-12) {
-		t.Errorf("n=0: got %g want 9", got)
-	}
-}
-
 func TestAdaptiveAgainstKnownIntegrals(t *testing.T) {
 	cases := []struct {
 		name string
@@ -122,14 +91,14 @@ func TestAdaptivePathologicalDepthBound(t *testing.T) {
 }
 
 func TestGauss20HighDegreeExactness(t *testing.T) {
-	// 20-point Gauss is exact through degree 39.
+	// One panel of the 20-point Gauss rule is exact through degree 39.
 	f := func(x float64) float64 { return math.Pow(x, 19) }
-	got := Gauss20(f, 0, 1)
+	got := GaussPanels(f, 0, 1, 1)
 	if !almostEqual(got, 1.0/20, 1e-13) {
 		t.Errorf("x^19: got %.15g want %.15g", got, 1.0/20)
 	}
 	g := func(x float64) float64 { return 5*math.Pow(x, 4) - 3*x + 7 }
-	got = Gauss20(g, -2, 3)
+	got = GaussPanels(g, -2, 3, 1)
 	want := math.Pow(3, 5) - math.Pow(-2, 5) - 1.5*(9-4) + 7*5
 	if !almostEqual(got, want, 1e-10) {
 		t.Errorf("poly: got %g want %g", got, want)
@@ -155,65 +124,6 @@ func TestGaussPanelsMatchesAdaptive(t *testing.T) {
 	}
 }
 
-func TestTensor2SeparableIntegrand(t *testing.T) {
-	// ∫0..1 ∫0..2 x·y² dy dx = (1/2)·(8/3) = 4/3.
-	g := func(x, y float64) float64 { return x * y * y }
-	got := Tensor2(g, 0, 1, 0, 2, 2, 2)
-	if !almostEqual(got, 4.0/3, 1e-10) {
-		t.Errorf("tensor: got %.12g want %.12g", got, 4.0/3)
-	}
-}
-
-func TestTensor2NonSeparable(t *testing.T) {
-	// ∫0..1 ∫0..1 exp(x+y) = (e-1)^2.
-	g := func(x, y float64) float64 { return math.Exp(x + y) }
-	got := Tensor2(g, 0, 1, 0, 1, 1, 1)
-	want := (math.E - 1) * (math.E - 1)
-	if !almostEqual(got, want, 1e-10) {
-		t.Errorf("tensor exp: got %.12g want %.12g", got, want)
-	}
-}
-
-func TestTrapezoidConvergence(t *testing.T) {
-	coarse := Trapezoid(math.Sin, 0, math.Pi, 16)
-	fine := Trapezoid(math.Sin, 0, math.Pi, 4096)
-	if math.Abs(fine-2) > 1e-6 {
-		t.Errorf("fine trapezoid: got %g want 2", fine)
-	}
-	if math.Abs(coarse-2) < math.Abs(fine-2) {
-		t.Error("refinement did not reduce error")
-	}
-	if got := Trapezoid(math.Sin, 1, 1, 8); got != 0 {
-		t.Errorf("degenerate: got %g", got)
-	}
-	if got := Trapezoid(func(x float64) float64 { return 1 }, 0, 1, 0); !almostEqual(got, 1, 1e-12) {
-		t.Errorf("n=0 clamps to 1: got %g", got)
-	}
-}
-
-// Property: for random cubics, Simpson with any even n equals the exact
-// antiderivative difference.
-func TestPropertySimpsonExactForCubics(t *testing.T) {
-	prop := func(c0, c1, c2, c3 float64, aRaw, wRaw uint8) bool {
-		// Keep coefficients bounded to avoid float blowup.
-		bound := func(v float64) float64 { return math.Mod(v, 100) }
-		c0, c1, c2, c3 = bound(c0), bound(c1), bound(c2), bound(c3)
-		a := float64(aRaw)/10 - 12
-		b := a + float64(wRaw)/10 + 0.1
-		f := func(x float64) float64 { return c0 + x*(c1+x*(c2+x*c3)) }
-		anti := func(x float64) float64 {
-			return x * (c0 + x*(c1/2+x*(c2/3+x*c3/4)))
-		}
-		want := anti(b) - anti(a)
-		got := Simpson(f, a, b, 4)
-		scale := math.Max(1, math.Abs(want))
-		return math.Abs(got-want) <= 1e-9*scale
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: Adaptive over adjacent intervals is additive.
 func TestPropertyAdaptiveAdditive(t *testing.T) {
 	f := func(x float64) float64 { return math.Sin(x) + 0.3*x }
@@ -230,59 +140,6 @@ func TestPropertyAdaptiveAdditive(t *testing.T) {
 		return math.Abs(whole-(left+right)) < 1e-8
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRombergAgreesWithAdaptiveAndGauss(t *testing.T) {
-	cases := []struct {
-		f    Func
-		a, b float64
-	}{
-		{math.Sin, 0, math.Pi},
-		{func(x float64) float64 { return math.Exp(-x * x) }, -3, 3},
-		{func(x float64) float64 { return 1 / (1 + x*x) }, 0, 5},
-	}
-	for i, c := range cases {
-		romberg := Romberg(c.f, c.a, c.b, 12)
-		adaptive, err := Adaptive(c.f, c.a, c.b, 1e-12)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gauss := GaussPanels(c.f, c.a, c.b, 8)
-		if !almostEqual(romberg, adaptive, 1e-9) {
-			t.Errorf("case %d: Romberg %.12g vs Adaptive %.12g", i, romberg, adaptive)
-		}
-		if !almostEqual(romberg, gauss, 1e-8) {
-			t.Errorf("case %d: Romberg %.12g vs Gauss %.12g", i, romberg, gauss)
-		}
-	}
-	if Romberg(math.Sin, 1, 1, 8) != 0 {
-		t.Error("degenerate interval")
-	}
-	// Level clamping keeps extreme arguments safe.
-	if v := Romberg(math.Sin, 0, math.Pi, 1); math.Abs(v-2) > 0.1 {
-		t.Errorf("low-level clamp: %g", v)
-	}
-	if v := Romberg(math.Sin, 0, math.Pi, 99); math.Abs(v-2) > 1e-10 {
-		t.Errorf("high-level clamp: %g", v)
-	}
-}
-
-// Property: Romberg and Gauss agree on random quartic polynomials (both
-// integrate them essentially exactly).
-func TestPropertyRombergMatchesGaussOnPolynomials(t *testing.T) {
-	prop := func(c0, c1, c2 float64, wRaw uint8) bool {
-		bound := func(v float64) float64 { return math.Mod(v, 10) }
-		c0, c1, c2 = bound(c0), bound(c1), bound(c2)
-		b := float64(wRaw)/40 + 0.1
-		f := func(x float64) float64 { return c0 + x*(c1+x*(c2+x*x)) }
-		r := Romberg(f, 0, b, 8)
-		g := Gauss20(f, 0, b)
-		scale := math.Max(1, math.Abs(g))
-		return math.Abs(r-g) <= 1e-9*scale
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,15 +1,10 @@
 package resilience
 
-import (
-	"context"
-	"math"
-	"time"
-)
+import "math"
 
 // Backoff is an exponential backoff schedule. The zero value is not
 // useful; set at least Base. Delays are unit-agnostic float64s — the
-// simulator reads them as simulated minutes, wall-clock callers as
-// seconds (see Wait).
+// simulator reads them as simulated minutes.
 //
 // Backoff values are immutable and safe to share.
 type Backoff struct {
@@ -18,17 +13,10 @@ type Backoff struct {
 	// Factor is the per-attempt growth; values below 1 (including the
 	// zero value) select the conventional doubling.
 	Factor float64
-	// Max, when positive, caps every delay.
-	Max float64
-	// Jitter, in [0, 1], spreads each delay uniformly over
-	// [(1−Jitter)·d, d] given the caller's uniform sample (Jittered).
-	// Zero keeps the schedule deterministic.
-	Jitter float64
 }
 
 // Delay returns the deterministic delay of the k-th attempt (k ≥ 0):
-// Base·Factor^k, capped at Max when set. Negative attempts are treated
-// as attempt 0.
+// Base·Factor^k. Negative attempts are treated as attempt 0.
 func (b Backoff) Delay(attempt int) float64 {
 	if attempt < 0 {
 		attempt = 0
@@ -37,37 +25,5 @@ func (b Backoff) Delay(attempt int) float64 {
 	if f < 1 {
 		f = 2
 	}
-	d := b.Base * math.Pow(f, float64(attempt))
-	if b.Max > 0 && d > b.Max {
-		d = b.Max
-	}
-	return d
-}
-
-// Jittered returns the jittered delay of the k-th attempt given a
-// uniform sample u in [0, 1): uniform over [(1−Jitter)·d, d]. With
-// Jitter zero it equals Delay(attempt) for any u, so callers can pass a
-// sample unconditionally.
-func (b Backoff) Jittered(attempt int, u float64) float64 {
-	d := b.Delay(attempt)
-	j := b.Jitter
-	if j <= 0 {
-		return d
-	}
-	if j > 1 {
-		j = 1
-	}
-	if u < 0 {
-		u = 0
-	} else if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return d * (1 - j*u)
-}
-
-// Wait sleeps for the jittered delay of the k-th attempt, interpreting
-// delays as seconds, until ctx is done. It returns ctx.Err() when
-// interrupted.
-func (b Backoff) Wait(ctx context.Context, attempt int, u float64) error {
-	return Sleep(ctx, time.Duration(b.Jittered(attempt, u)*float64(time.Second)))
+	return b.Base * math.Pow(f, float64(attempt))
 }

@@ -1,11 +1,9 @@
 package resilience
 
-import "context"
-
 // Bulkhead is a semaphore isolating one class of work from the rest of
-// the process: at most Cap() holders at once, excess callers either
-// shed (TryAcquire) or wait (Acquire). A nil *Bulkhead imposes no
-// limit, so optional gating needs no branching at call sites.
+// the process: at most Cap() holders at once; excess callers shed
+// (TryAcquire). A nil *Bulkhead imposes no limit, so optional gating
+// needs no branching at call sites.
 type Bulkhead struct {
 	sem chan struct{}
 }
@@ -30,20 +28,6 @@ func (b *Bulkhead) TryAcquire() bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// Acquire blocks for a slot until ctx is done, returning ctx.Err() when
-// interrupted.
-func (b *Bulkhead) Acquire(ctx context.Context) error {
-	if b == nil {
-		return ctx.Err()
-	}
-	select {
-	case b.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
 	}
 }
 

@@ -65,9 +65,6 @@ type Config struct {
 	// Tracer, when non-nil, receives a structured event at every viewer
 	// and stream transition (see internal/trace).
 	Tracer trace.Tracer
-	// AbandonMean, when positive, gives viewers exponential patience with
-	// this mean; impatient viewers leave early (failure injection).
-	AbandonMean float64
 	// TotalStreams caps the shared disk array's I/O streams across batch
 	// and dedicated use combined; 0 leaves the array elastic. A positive
 	// cap fixes the disk count, ⌈TotalStreams/StreamsPerDisk⌉, which is
@@ -97,7 +94,6 @@ func (c Config) server() ServerConfig {
 		Movies: []MovieSetup{{
 			Name: "movie", L: c.L, B: c.B, N: c.N, Delta: c.Delta,
 			ArrivalRate: c.ArrivalRate, Profile: c.Profile,
-			AbandonMean: c.AbandonMean,
 		}},
 		Rates:          c.Rates,
 		Horizon:        c.Horizon,

@@ -72,23 +72,10 @@ func (c ServerConfig) fluidBlocker() string {
 	return ""
 }
 
-// fluidBlocker returns why this movie cannot run on the fluid backend,
-// or "" when it can: the fluid flow equations assume a Poisson arrival
-// stream and patient viewers.
-func (m MovieSetup) fluidBlocker() string {
-	switch {
-	case m.Arrivals != nil:
-		return "non-Poisson arrivals need the DES backend"
-	case m.AbandonMean > 0:
-		return "viewer abandonment needs the DES backend"
-	}
-	return ""
-}
-
 // wantsFluid decides the backend for one movie. EngineFluid demands it
 // (Validate rejects ineligible configurations up front); EngineHybrid
-// takes fluid only for eligible movies at or above the popularity
-// threshold, falling back to DES otherwise — so a threshold of 0
+// takes fluid only for movies at or above the popularity threshold on an
+// eligible server, falling back to DES otherwise — so a threshold of 0
 // reproduces the pure DES engine exactly.
 func (c ServerConfig) wantsFluid(ms MovieSetup) bool {
 	switch c.engine() {
@@ -96,7 +83,7 @@ func (c ServerConfig) wantsFluid(ms MovieSetup) bool {
 		return true
 	case EngineHybrid:
 		return c.FluidThreshold > 0 && ms.ArrivalRate >= c.FluidThreshold &&
-			c.fluidBlocker() == "" && ms.fluidBlocker() == ""
+			c.fluidBlocker() == ""
 	}
 	return false
 }
@@ -115,11 +102,6 @@ func (c ServerConfig) validateEngine() error {
 	if c.engine() == EngineFluid {
 		if why := c.fluidBlocker(); why != "" {
 			return fmt.Errorf("%w: fluid engine: %s", ErrBadConfig, why)
-		}
-		for _, m := range c.Movies {
-			if why := m.fluidBlocker(); why != "" {
-				return fmt.Errorf("%w: fluid engine: movie %q: %s", ErrBadConfig, m.Name, why)
-			}
 		}
 	}
 	return nil

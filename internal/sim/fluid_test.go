@@ -105,7 +105,6 @@ func TestEngineFluidRejectsBlockers(t *testing.T) {
 		{"totalStreams", func(c *Config) { c.TotalStreams = 40 }},
 		{"maxDedicated", func(c *Config) { c.MaxDedicated = 5 }},
 		{"piggyback", func(c *Config) { c.Piggyback = true }},
-		{"abandon", func(c *Config) { c.AbandonMean = 30 }},
 	}
 	for _, m := range mutations {
 		cfg := fluidCmpConfig(30, 1)

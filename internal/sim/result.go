@@ -35,14 +35,11 @@ type MovieResult struct {
 
 	// Flow accounting.
 	Arrivals, Departures uint64
-	// Abandons counts viewers who ran out of patience and left early
-	// (included in Departures).
-	Abandons           uint64
-	InSystem           uint64
-	BlockedOps         uint64
-	BlockedResumes     uint64
-	ParkEvents         uint64
-	Merges, MergeFails uint64
+	InSystem             uint64
+	BlockedOps           uint64
+	BlockedResumes       uint64
+	ParkEvents           uint64
+	Merges, MergeFails   uint64
 
 	// ForcedMisses counts degraded-mode fallbacks to pure batching
 	// (displaced or starved viewers, and abandoned VCR requests);
@@ -273,7 +270,6 @@ func collectMovie(mv *movieState, now float64) *MovieResult {
 		PeakBatch:      mv.batchTW.Max(),
 		Arrivals:       mv.arrivals,
 		Departures:     mv.departures,
-		Abandons:       mv.abandons,
 		InSystem:       mv.arrivals - mv.departures,
 		BlockedOps:     mv.blockedOps,
 		BlockedResumes: mv.blockedResumes,

@@ -16,7 +16,6 @@ import (
 	"vodalloc/internal/stream"
 	"vodalloc/internal/trace"
 	"vodalloc/internal/vcr"
-	"vodalloc/internal/workload"
 )
 
 // MovieSetup is the per-movie deployment inside a multi-movie server:
@@ -28,19 +27,9 @@ type MovieSetup struct {
 	N     int
 	Delta float64
 	// ArrivalRate is the movie's Poisson arrival rate (viewers/minute).
-	// Ignored when Arrivals is set.
 	ArrivalRate float64
-	// Arrivals optionally replaces the Poisson process with an arbitrary
-	// arrival process (e.g. a renewal process), for sensitivity studies
-	// beyond the paper's Poisson assumption (§2.1).
-	Arrivals workload.ArrivalProcess
 	// Profile is this movie's viewer behaviour.
 	Profile vcr.Profile
-	// AbandonMean, when positive, gives viewers an exponential patience:
-	// a viewer whose total time in the system exceeds his patience draw
-	// leaves early, releasing whatever he holds (failure injection for
-	// resource-accounting robustness).
-	AbandonMean float64
 }
 
 // Validate checks the setup.
@@ -54,10 +43,8 @@ func (m MovieSetup) Validate() error {
 		return fmt.Errorf("%w: movie %q stream count %d", ErrBadConfig, m.Name, m.N)
 	case m.Delta < 0 || math.IsNaN(m.Delta):
 		return fmt.Errorf("%w: movie %q delta %v", ErrBadConfig, m.Name, m.Delta)
-	case m.Arrivals == nil && !(m.ArrivalRate > 0):
+	case !(m.ArrivalRate > 0):
 		return fmt.Errorf("%w: movie %q arrival rate %v", ErrBadConfig, m.Name, m.ArrivalRate)
-	case m.AbandonMean < 0 || math.IsNaN(m.AbandonMean):
-		return fmt.Errorf("%w: movie %q abandon mean %v", ErrBadConfig, m.Name, m.AbandonMean)
 	}
 	if m.Profile.Interactive() {
 		if err := m.Profile.Validate(); err != nil {
@@ -92,10 +79,6 @@ type ServerConfig struct {
 	// MaxDedicated caps the shared pool of dedicated (phase-1/miss)
 	// streams across all movies; 0 = unlimited.
 	MaxDedicated int
-	// BufferCapacity bounds the shared buffer pool in movie-minutes;
-	// 0 = elastic (peak demand is recorded). A fixed capacity below the
-	// batch partitions' requirement surfaces as a run error.
-	BufferCapacity float64
 	// Tracer, when non-nil, receives a structured event at every viewer
 	// and stream transition (see internal/trace).
 	Tracer trace.Tracer
@@ -141,8 +124,6 @@ func (c ServerConfig) Validate() error {
 		return fmt.Errorf("%w: warmup %v outside [0, horizon)", ErrBadConfig, c.Warmup)
 	case c.MaxDedicated < 0:
 		return fmt.Errorf("%w: max dedicated %d", ErrBadConfig, c.MaxDedicated)
-	case c.BufferCapacity < 0 || math.IsNaN(c.BufferCapacity):
-		return fmt.Errorf("%w: buffer capacity %v", ErrBadConfig, c.BufferCapacity)
 	case c.Piggyback && !(c.slew() > 0 && c.slew() < 1):
 		return fmt.Errorf("%w: slew %v outside (0, 1)", ErrBadConfig, c.Slew)
 	case c.TotalStreams < 0:
@@ -223,7 +204,7 @@ type Server struct {
 	grayEvents                   uint64
 	diskLat                      []diskLatAcc
 
-	bufferErr error // fixed-pool exhaustion captured mid-run
+	bufferErr error // a pool accounting error captured mid-run
 	ran       bool
 
 	// coverProbe, when set, sees every coveringPartition lookup and its
@@ -298,7 +279,6 @@ type movieState struct {
 	opPos *metrics.Histogram
 
 	arrivals, departures uint64
-	abandons             uint64
 	blockedOps           uint64
 	blockedResumes       uint64
 	parkEvents           uint64
@@ -329,15 +309,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
 	}
-	var pool *buffer.Pool
-	if cfg.BufferCapacity > 0 {
-		pool, err = buffer.NewPool(cfg.BufferCapacity)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadConfig, err)
-		}
-	} else {
-		pool = buffer.NewElasticPool()
-	}
 	tr := cfg.Tracer
 	if tr == nil {
 		tr = trace.Nop{}
@@ -347,7 +318,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
 		grayRNG: rand.New(rand.NewSource(cfg.Seed ^ graySeedSalt)),
 		disks:   arr,
-		pool:    pool,
+		pool:    buffer.NewElasticPool(),
 		tr:      tr,
 		tracing: cfg.Tracer != nil,
 	}
@@ -441,7 +412,7 @@ func (s *Server) begin(ctx context.Context) error {
 	return nil
 }
 
-// finish surfaces a mid-run buffer exhaustion and collects results.
+// finish surfaces a mid-run pool accounting error and collects results.
 func (s *Server) finish() (*ServerResult, error) {
 	if s.bufferErr != nil {
 		return nil, s.bufferErr
@@ -450,9 +421,6 @@ func (s *Server) finish() (*ServerResult, error) {
 }
 
 func (s *Server) expGap(mv *movieState) float64 {
-	if mv.setup.Arrivals != nil {
-		return mv.setup.Arrivals.NextGap(s.rng)
-	}
 	return s.rng.ExpFloat64() / mv.setup.ArrivalRate
 }
 
@@ -490,8 +458,8 @@ func (s *Server) onRestart(mv *movieState, now float64) {
 		panic(fmt.Sprintf("sim: partition construction failed: %v", err)) // validated config makes this unreachable
 	}
 	if err := s.pool.Reserve(part.Gross()); err != nil {
-		// A fixed buffer pool too small for the batch partitions is a
-		// configuration error; stop the run and surface it.
+		// The pool refuses only an invalid charge; stop the run and
+		// surface it.
 		slot.Release()
 		s.bufferErr = fmt.Errorf("%w: movie %q at t=%.2f: %v", ErrBadConfig, ms.Name, now, err)
 		s.k.Halt()
@@ -577,26 +545,6 @@ func (s *Server) onArrival(mv *movieState, now float64) {
 	mv.viewers = append(mv.viewers, v)
 	s.viewersTW.Add(now, 1)
 	s.emit(now, trace.Arrive, mv.setup.Name, v.id, 0, "")
-	if mv.setup.AbandonMean > 0 {
-		patience := s.rng.ExpFloat64() * mv.setup.AbandonMean
-		v.abandonEv = mustSchedule(&s.k, now+patience, "abandon", func(t float64) {
-			v.abandonEv = noEv
-			if v.state == stateDone {
-				return
-			}
-			mv.abandons++
-			if v.state == stateWaiting {
-				// Remove from the restart queue before departing.
-				for i, q := range mv.waitq {
-					if q == v {
-						mv.waitq = append(mv.waitq[:i], mv.waitq[i+1:]...)
-						break
-					}
-				}
-			}
-			s.depart(mv, t, v)
-		})
-	}
 
 	if ap := s.newestOpenPartition(mv, now); ap != nil {
 		if s.measuring(now) {

@@ -440,50 +440,6 @@ func TestMeanWaitMatchesAnalytic(t *testing.T) {
 	}
 }
 
-func TestAbandonmentFailureInjection(t *testing.T) {
-	c := baseConfig()
-	c.AbandonMean = 40 // most viewers quit before the 120-minute end
-	c.Horizon = 2500
-	s, err := New(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Abandons == 0 {
-		t.Fatal("no abandons with 40-minute patience")
-	}
-	// Abandons are a subset of departures; conservation still holds.
-	if r.Abandons > r.Departures {
-		t.Errorf("abandons %d exceed departures %d", r.Abandons, r.Departures)
-	}
-	if r.Arrivals != r.Departures+r.InSystem {
-		t.Errorf("conservation broken: %d != %d + %d", r.Arrivals, r.Departures, r.InSystem)
-	}
-	// Roughly P(T_patience < 120-ish viewing time): with mean 40 most go.
-	frac := float64(r.Abandons) / float64(r.Departures)
-	if frac < 0.6 {
-		t.Errorf("abandon fraction %.2f implausibly low", frac)
-	}
-	// The per-resume hit probability is unaffected by who leaves early.
-	model := analytic.MustNew(analytic.Config{L: c.L, B: c.B, N: c.N, RatePB: 1, RateFF: 3, RateRW: 3})
-	gam := dist.MustGamma(2, 4)
-	want, err := model.HitMix(analytic.Mix{PFF: 0.2, PRW: 0.2, PPAU: 0.6, FF: gam, RW: gam, PAU: gam})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.HitProbability()-want) > 0.05 {
-		t.Errorf("abandonment moved hit probability: %.4f vs %.4f", r.HitProbability(), want)
-	}
-	// Validation catches nonsense.
-	c.AbandonMean = -1
-	if err := c.Validate(); !errors.Is(err, ErrBadConfig) {
-		t.Error("negative abandon mean must fail")
-	}
-}
-
 func TestWaitQuantiles(t *testing.T) {
 	c := baseConfig() // B/L = 0.5: half the arrivals wait 0
 	s, err := New(c)

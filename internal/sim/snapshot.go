@@ -160,7 +160,6 @@ func (s *Server) digest() uint64 {
 	for _, mv := range s.movies {
 		u64(mv.arrivals)
 		u64(mv.departures)
-		u64(mv.abandons)
 		u64(mv.queuedArr)
 		u64(mv.endRuns)
 		u64(mv.blockedOps)
@@ -228,10 +227,9 @@ func (s *Server) ResumeCheckpointedCtx(ctx context.Context, cp Checkpoint, every
 	if err := cp.Verify(s.checkpointNow()); err != nil {
 		return nil, err
 	}
-	// A checkpoint can land right after the event that exhausted a fixed
-	// buffer pool and halted the kernel; the original run ended there, so
-	// the resume must too rather than execute events the original never
-	// ran.
+	// A checkpoint can land right after the event whose pool accounting
+	// error halted the kernel; the original run ended there, so the
+	// resume must too rather than execute events the original never ran.
 	if s.bufferErr != nil {
 		return nil, s.bufferErr
 	}

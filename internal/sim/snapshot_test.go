@@ -12,10 +12,9 @@ import (
 )
 
 // snapshotConfig is deliberately tiny — a short horizon with a busy
-// arrival rate, abandonment and piggybacking enabled — so a run has a
-// few hundred events and the every-boundary restore property below
-// stays fast while still crossing batch restarts, VCR resumes, merges
-// and departures.
+// arrival rate and piggybacking enabled — so a run has a few hundred
+// events and the every-boundary restore property below stays fast while
+// still crossing batch restarts, VCR resumes, merges and departures.
 func snapshotConfig() Config {
 	c := baseConfig()
 	c.L = 30
@@ -25,7 +24,6 @@ func snapshotConfig() Config {
 	c.Horizon = 120
 	c.Warmup = 20
 	c.Seed = 7
-	c.AbandonMean = 40
 	c.Piggyback = true
 	return c
 }

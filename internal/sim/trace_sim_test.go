@@ -1,12 +1,9 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
-	"vodalloc/internal/dist"
 	"vodalloc/internal/trace"
-	"vodalloc/internal/workload"
 )
 
 // TestTraceEventConsistency cross-checks the trace stream against the
@@ -75,67 +72,6 @@ func TestTraceEventConsistency(t *testing.T) {
 		if !names[e.Movie] {
 			t.Fatalf("event with unknown movie: %v", e)
 		}
-	}
-}
-
-// TestRenewalArrivalsMatchPoissonHitProbability probes the paper's
-// Poisson assumption (§2.1): the hit probability is a per-resume
-// geometric quantity, so replacing Poisson arrivals with a very
-// different renewal process (uniform gaps — much lower variance) should
-// barely move it.
-func TestRenewalArrivalsMatchPoissonHitProbability(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long sensitivity run")
-	}
-	gam := dist.MustGamma(2, 4)
-	think := dist.MustExponential(15)
-	run := func(ap workload.ArrivalProcess, rate float64) float64 {
-		cfg := ServerConfig{
-			Movies: []MovieSetup{{
-				Name: "m", L: 120, B: 60, N: 30,
-				ArrivalRate: rate, Arrivals: ap,
-				Profile: workload.MixedProfile(gam, think),
-			}},
-			Rates:   testRates,
-			Horizon: 5000,
-			Warmup:  500,
-			Seed:    21,
-		}
-		srv, err := NewServer(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sr, err := srv.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sr.Movies["m"].HitProbability()
-	}
-	poisson := run(nil, 0.5)
-	uniformGaps, err := workload.NewRenewal(dist.MustUniform(1.5, 2.5)) // same mean gap, tiny variance
-	if err != nil {
-		t.Fatal(err)
-	}
-	renewal := run(uniformGaps, 0)
-	if math.Abs(poisson-renewal) > 0.03 {
-		t.Errorf("arrival process moved the hit probability: poisson %.4f vs renewal %.4f",
-			poisson, renewal)
-	}
-}
-
-func TestArrivalsValidationRequiresRateOrProcess(t *testing.T) {
-	cfg := threeMovieConfig()
-	cfg.Movies[0].ArrivalRate = 0
-	if err := cfg.Validate(); err == nil {
-		t.Error("no rate and no process must fail")
-	}
-	gaps, err := workload.NewRenewal(dist.MustExponential(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Movies[0].Arrivals = gaps
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("renewal process without rate should validate: %v", err)
 	}
 }
 

@@ -78,7 +78,7 @@ type viewer struct {
 	outcome vcr.Outcome
 
 	// Cancellable scheduled events.
-	finishEv, thinkEv, resumeEv, mergeEv, parkEv, abandonEv des.Handle
+	finishEv, thinkEv, resumeEv, mergeEv, parkEv des.Handle
 	// opRetryEv is the pending backoff retry of a blocked VCR request
 	// (degraded mode; the viewer stays watching meanwhile).
 	opRetryEv des.Handle
@@ -114,9 +114,8 @@ func (v *viewer) cancelTimers(k *des.Kernel) {
 	k.Cancel(v.resumeEv)
 	k.Cancel(v.mergeEv)
 	k.Cancel(v.parkEv)
-	k.Cancel(v.abandonEv)
 	k.Cancel(v.opRetryEv)
-	v.finishEv, v.thinkEv, v.resumeEv, v.mergeEv, v.parkEv, v.abandonEv, v.opRetryEv = noEv, noEv, noEv, noEv, noEv, noEv, noEv
+	v.finishEv, v.thinkEv, v.resumeEv, v.mergeEv, v.parkEv, v.opRetryEv = noEv, noEv, noEv, noEv, noEv, noEv
 }
 
 // activePart is a live batch stream with its buffer partition, disk

@@ -153,29 +153,3 @@ func MinCostPoint(pts []CurvePoint) (CurvePoint, error) {
 	}
 	return best, nil
 }
-
-// RoundBasedCostModel refines HardwareCostModel by deriving the
-// streams-per-disk figure from the round-based retrieval model
-// (disk.RoundConfig) instead of the raw bandwidth ratio: seeks and
-// rotational latencies reduce the streams one spindle sustains, raising
-// the effective per-stream cost Cn and therefore φ's denominator. The
-// paper's Example 2 uses the naive ratio; this variant shows how the
-// sizing answer shifts under a mechanical disk model.
-func RoundBasedCostModel(diskCost float64, rc disk.RoundConfig, memPerMB float64) (CostModel, error) {
-	if !(diskCost > 0) || !(memPerMB > 0) {
-		return CostModel{}, fmt.Errorf("%w: prices must be positive", ErrBadParam)
-	}
-	if err := rc.Validate(); err != nil {
-		return CostModel{}, fmt.Errorf("%w: %v", ErrBadParam, err)
-	}
-	spd := rc.MaxStreams()
-	if spd < 1 {
-		return CostModel{}, fmt.Errorf("%w: geometry sustains no streams at a %.2fs round",
-			ErrBadParam, rc.RoundSec)
-	}
-	mbPerMinute := 60 * rc.StreamMbps / 8
-	return CostModel{
-		Cb: mbPerMinute * memPerMB,
-		Cn: diskCost / float64(spd),
-	}, nil
-}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"vodalloc/internal/disk"
 	"vodalloc/internal/dist"
 	"vodalloc/internal/vcr"
 	"vodalloc/internal/workload"
@@ -291,47 +290,5 @@ func TestPlanCostUsesBothPrices(t *testing.T) {
 	want := 750*113.5 + 70*602
 	if got := cm.PlanCost(p); math.Abs(got-want) > 1e-9 {
 		t.Errorf("cost %g want %g", got, want)
-	}
-}
-
-func TestRoundBasedCostModelRaisesCn(t *testing.T) {
-	rc := disk.RoundConfig{G: disk.Example2Geometry(), RoundSec: 1, StreamMbps: 4}
-	naive, err := HardwareCostModel(700, 5, 4, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refined, err := RoundBasedCostModel(700, rc, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if refined.Cb != naive.Cb {
-		t.Errorf("memory price must not change: %g vs %g", refined.Cb, naive.Cb)
-	}
-	// Mechanical overheads admit fewer streams per disk → pricier streams.
-	if refined.Cn <= naive.Cn {
-		t.Errorf("round-based Cn %.2f should exceed naive %.2f", refined.Cn, naive.Cn)
-	}
-	// And therefore a smaller φ (buffer relatively cheaper).
-	if refined.Phi() >= naive.Phi() {
-		t.Errorf("round-based phi %.2f should fall below naive %.2f", refined.Phi(), naive.Phi())
-	}
-	// Longer rounds amortize overhead: Cn approaches the naive figure.
-	longRC := rc
-	longRC.RoundSec = 10
-	long, err := RoundBasedCostModel(700, longRC, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !(long.Cn < refined.Cn) {
-		t.Errorf("longer rounds should cut Cn: %.2f vs %.2f", long.Cn, refined.Cn)
-	}
-	// Degenerate geometry fails loudly.
-	bad := rc
-	bad.StreamMbps = 100
-	if _, err := RoundBasedCostModel(700, bad, 25); !errors.Is(err, ErrBadParam) {
-		t.Errorf("over-rate stream: want ErrBadParam, got %v", err)
-	}
-	if _, err := RoundBasedCostModel(0, rc, 25); !errors.Is(err, ErrBadParam) {
-		t.Error("zero price must fail")
 	}
 }

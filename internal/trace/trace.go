@@ -1,7 +1,7 @@
 // Package trace provides structured event tracing for the VOD server
 // simulator: a Tracer interface the simulator calls at every viewer and
-// stream transition, a bounded in-memory Recorder for tests and
-// debugging, and a line-oriented Writer for offline analysis.
+// stream transition, an in-memory Recorder for tests and debugging,
+// and a line-oriented Writer for offline analysis.
 package trace
 
 import (
@@ -142,26 +142,16 @@ type Nop struct{}
 // Trace implements Tracer.
 func (Nop) Trace(Event) {}
 
-// Recorder keeps the most recent Cap events in memory (unbounded when
-// Cap <= 0). Safe for concurrent use.
+// Recorder keeps every event in memory. Safe for concurrent use.
 type Recorder struct {
-	mu      sync.Mutex
-	Cap     int
-	events  []Event
-	dropped uint64
+	mu     sync.Mutex
+	events []Event
 }
 
 // Trace implements Tracer.
 func (r *Recorder) Trace(e Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.Cap > 0 && len(r.events) >= r.Cap {
-		// Drop the oldest to keep the most recent window.
-		copy(r.events, r.events[1:])
-		r.events[len(r.events)-1] = e
-		r.dropped++
-		return
-	}
 	r.events = append(r.events, e)
 }
 
@@ -172,13 +162,6 @@ func (r *Recorder) Events() []Event {
 	out := make([]Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// Dropped returns how many events were evicted from a bounded recorder.
-func (r *Recorder) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }
 
 // CountByKind tallies the retained events.
@@ -195,28 +178,13 @@ func (r *Recorder) CountByKind() map[Kind]int {
 // Writer streams each event as one line to an io.Writer.
 type Writer struct {
 	W io.Writer
-	// Filter, when non-nil, selects which events are written.
-	Filter func(Event) bool
 	// Err holds the first write error; tracing continues silently after.
 	Err error
 }
 
 // Trace implements Tracer.
 func (w *Writer) Trace(e Event) {
-	if w.Filter != nil && !w.Filter(e) {
-		return
-	}
 	if _, err := fmt.Fprintln(w.W, e.String()); err != nil && w.Err == nil {
 		w.Err = err
-	}
-}
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Trace implements Tracer.
-func (m Multi) Trace(e Event) {
-	for _, t := range m {
-		t.Trace(e)
 	}
 }

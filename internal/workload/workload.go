@@ -1,14 +1,12 @@
-// Package workload generates the demand side of the experiments: viewer
-// arrival processes, movie catalogs with popularity skew, and the
-// paper's reference workloads (the §4 validation workload and the §5
-// Example 1 three-movie system).
+// Package workload generates the demand side of the experiments: movie
+// catalogs with popularity skew, and the paper's reference workloads
+// (the §4 validation workload and the §5 Example 1 three-movie system).
 package workload
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 
 	"vodalloc/internal/dist"
 	"vodalloc/internal/vcr"
@@ -16,49 +14,6 @@ import (
 
 // ErrBadParam reports invalid workload parameters.
 var ErrBadParam = errors.New("workload: invalid parameter")
-
-// ArrivalProcess produces interarrival gaps.
-type ArrivalProcess interface {
-	// NextGap draws the time to the next arrival.
-	NextGap(rng *rand.Rand) float64
-	// Rate returns the long-run arrival rate (arrivals per minute).
-	Rate() float64
-}
-
-// Poisson is the homogeneous Poisson process the paper assumes for
-// popular-movie request arrivals (§2.1).
-type Poisson struct {
-	lambda float64
-}
-
-// NewPoisson builds a Poisson process with rate lambda per minute.
-func NewPoisson(lambda float64) (Poisson, error) {
-	if !(lambda > 0) || math.IsInf(lambda, 0) {
-		return Poisson{}, fmt.Errorf("%w: rate %v", ErrBadParam, lambda)
-	}
-	return Poisson{lambda: lambda}, nil
-}
-
-func (p Poisson) NextGap(rng *rand.Rand) float64 { return rng.ExpFloat64() / p.lambda }
-func (p Poisson) Rate() float64                  { return p.lambda }
-
-// Renewal is a renewal arrival process with arbitrary gap distribution,
-// for sensitivity studies beyond the Poisson assumption.
-type Renewal struct {
-	gaps dist.Distribution
-}
-
-// NewRenewal builds a renewal process from a positive-mean gap
-// distribution.
-func NewRenewal(gaps dist.Distribution) (Renewal, error) {
-	if gaps == nil || !(gaps.Mean() > 0) {
-		return Renewal{}, fmt.Errorf("%w: renewal gaps need positive mean", ErrBadParam)
-	}
-	return Renewal{gaps: gaps}, nil
-}
-
-func (r Renewal) NextGap(rng *rand.Rand) float64 { return math.Max(0, r.gaps.Sample(rng)) }
-func (r Renewal) Rate() float64                  { return 1 / r.gaps.Mean() }
 
 // Movie describes one title's service-quality targets and behaviour.
 type Movie struct {

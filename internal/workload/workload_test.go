@@ -3,7 +3,6 @@ package workload
 import (
 	"errors"
 	"math"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -11,52 +10,6 @@ import (
 
 	"vodalloc/internal/dist"
 )
-
-func TestPoissonProcess(t *testing.T) {
-	p, err := NewPoisson(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Rate() != 0.5 {
-		t.Errorf("rate %g want 0.5", p.Rate())
-	}
-	rng := rand.New(rand.NewSource(1))
-	var sum float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		g := p.NextGap(rng)
-		if g < 0 {
-			t.Fatal("negative gap")
-		}
-		sum += g
-	}
-	if math.Abs(sum/n-2) > 0.05 {
-		t.Errorf("mean gap %.3f want 2", sum/n)
-	}
-	if _, err := NewPoisson(0); !errors.Is(err, ErrBadParam) {
-		t.Error("zero rate must fail")
-	}
-}
-
-func TestRenewalProcess(t *testing.T) {
-	r, err := NewRenewal(dist.MustUniform(1, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(r.Rate()-0.5) > 1e-12 {
-		t.Errorf("rate %g want 0.5", r.Rate())
-	}
-	rng := rand.New(rand.NewSource(2))
-	for i := 0; i < 1000; i++ {
-		g := r.NextGap(rng)
-		if g < 1 || g > 3 {
-			t.Fatalf("gap %g outside [1,3]", g)
-		}
-	}
-	if _, err := NewRenewal(nil); !errors.Is(err, ErrBadParam) {
-		t.Error("nil gaps must fail")
-	}
-}
 
 func TestMovieValidate(t *testing.T) {
 	good := Example1Movies()[0]
