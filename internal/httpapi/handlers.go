@@ -41,54 +41,51 @@ func NewMux() *http.ServeMux {
 // circuit breaker on the simulation endpoints. Concurrent plan/curve
 // requests share the evaluator's worker pool and memo cache, so load
 // fans out across at most the configured budget regardless of request
-// count.
+// count. Every route answers 503 once its request deadline passes; a
+// breaker-gated route does so inside breakerGate.
 func newMux(maxBody int64, gate *resilience.Bulkhead, br *resilience.Breaker, eval *sizing.Evaluator, cc *ClusterCounters) *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/healthz", handleHealth)
-	mux.Handle("/v1/hit", jsonHandler(maxBody, handleHit))
-	mux.Handle("/v1/plan", jsonHandler(maxBody, func(ctx context.Context, req PlanRequest) (PlanResponse, error) {
+	handle := func(path string, h http.Handler) { mux.Handle(path, answerTimeout(h)) }
+	handle("/v1/healthz", http.HandlerFunc(handleHealth))
+	handle("/v1/hit", jsonHandler(maxBody, handleHit))
+	handle("/v1/plan", jsonHandler(maxBody, func(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 		return handlePlan(ctx, eval, req)
 	}))
-	mux.Handle("/v1/curve", jsonHandler(maxBody, func(ctx context.Context, req CurveRequest) (CurveResponse, error) {
+	handle("/v1/curve", jsonHandler(maxBody, func(ctx context.Context, req CurveRequest) (CurveResponse, error) {
 		return handleCurve(ctx, eval, req)
 	}))
-	mux.Handle("/v1/reserve", jsonHandler(maxBody, handleReserve))
-	mux.Handle("/v1/cluster/plan", jsonHandler(maxBody, func(ctx context.Context, req ClusterPlanRequest) (ClusterPlanResponse, error) {
+	handle("/v1/reserve", jsonHandler(maxBody, handleReserve))
+	handle("/v1/cluster/plan", jsonHandler(maxBody, func(ctx context.Context, req ClusterPlanRequest) (ClusterPlanResponse, error) {
 		cc.notePlan()
 		return handleClusterPlan(ctx, eval, req)
 	}))
-	var simulate http.Handler = jsonHandler(maxBody, handleSimulate)
-	var replicate http.Handler = jsonHandler(maxBody, handleReplicate)
-	// Cluster simulation fans a Monte Carlo run out per node, so it
-	// shares the simulation endpoints' admission control.
-	var clusterSim http.Handler = jsonHandler(maxBody, func(ctx context.Context, req ClusterSimulateRequest) (ClusterSimulateResponse, error) {
-		cc.noteSimulate()
-		return handleClusterSimulate(ctx, eval, req)
-	})
-	// Churn drives a full control-plane simulation, so it shares the
-	// same admission control as the other simulation endpoints.
-	var clusterChurn http.Handler = jsonHandler(maxBody, func(ctx context.Context, req ClusterChurnRequest) (ClusterChurnResponse, error) {
-		cc.noteChurn()
-		return handleClusterChurn(ctx, eval, cc, req)
-	})
-	// The breaker sits outside the bulkhead so an open circuit fast-fails
-	// without consuming an admission slot.
-	if gate != nil {
-		simulate = limitInflight(gate, simulate)
-		replicate = limitInflight(gate, replicate)
-		clusterSim = limitInflight(gate, clusterSim)
-		clusterChurn = limitInflight(gate, clusterChurn)
+	for path, h := range map[string]http.Handler{
+		"/v1/simulate":  jsonHandler(maxBody, handleSimulate),
+		"/v1/replicate": jsonHandler(maxBody, handleReplicate),
+		// Cluster simulation fans a Monte Carlo run out per node, so it
+		// shares the simulation endpoints' admission control.
+		"/v1/cluster/simulate": jsonHandler(maxBody, func(ctx context.Context, req ClusterSimulateRequest) (ClusterSimulateResponse, error) {
+			cc.noteSimulate()
+			return handleClusterSimulate(ctx, eval, req)
+		}),
+		// Churn drives a full control-plane simulation, so it shares the
+		// same admission control as the other simulation endpoints.
+		"/v1/cluster/churn": jsonHandler(maxBody, func(ctx context.Context, req ClusterChurnRequest) (ClusterChurnResponse, error) {
+			cc.noteChurn()
+			return handleClusterChurn(ctx, eval, cc, req)
+		}),
+	} {
+		// The breaker sits outside the bulkhead so an open circuit
+		// fast-fails without consuming an admission slot.
+		if gate != nil {
+			h = limitInflight(gate, h)
+		}
+		if br != nil {
+			mux.Handle(path, breakerGate(br, h))
+		} else {
+			handle(path, h)
+		}
 	}
-	if br != nil {
-		simulate = breakerGate(br, simulate)
-		replicate = breakerGate(br, replicate)
-		clusterSim = breakerGate(br, clusterSim)
-		clusterChurn = breakerGate(br, clusterChurn)
-	}
-	mux.Handle("/v1/simulate", simulate)
-	mux.Handle("/v1/replicate", replicate)
-	mux.Handle("/v1/cluster/simulate", clusterSim)
-	mux.Handle("/v1/cluster/churn", clusterChurn)
 	return mux
 }
 

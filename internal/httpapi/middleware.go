@@ -101,9 +101,9 @@ func New(o Options) http.Handler {
 
 	cc := &ClusterCounters{}
 	var h http.Handler = newMux(o.MaxBodyBytes, gate, br, eval, cc)
-	// The timeout handler caps handler wall time and cancels r.Context;
-	// its body is written verbatim on expiry.
-	h = http.TimeoutHandler(h, o.Timeout, `{"error":"request timed out"}`)
+	// The deadline cancels r.Context when the budget runs out; each route
+	// then answers 503 with timeoutBody (answerTimeout).
+	h = withDeadline(o.Timeout, h)
 	h = trackInflight(state, h)
 	h = Recover(h)
 	if o.Log != nil {
@@ -171,6 +171,36 @@ func limitInflight(gate *resilience.Bulkhead, next http.Handler) http.Handler {
 	})
 }
 
+// timeoutBody is the 503 body of a request whose deadline passed.
+const timeoutBody = `{"error":"request timed out"}`
+
+// withDeadline gives every request the budget d as its context
+// deadline.
+func withDeadline(d time.Duration, next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		ctx, cancel := context.WithTimeout(r.Context(), d)
+		defer cancel()
+		next.ServeHTTP(w, r.WithContext(ctx))
+	})
+}
+
+// answerTimeout caps next's wall time at the request context's
+// deadline: when it passes, the client gets a 503 with timeoutBody even
+// if next ignores its context and keeps running. A request without a
+// deadline (the bare NewMux) runs next directly.
+func answerTimeout(next http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dl, ok := r.Context().Deadline()
+		if !ok {
+			next.ServeHTTP(w, r)
+			return
+		}
+		// The timeout handler's own budget ends no earlier than dl, so
+		// the request context's expiry is what fires it.
+		http.TimeoutHandler(next, time.Until(dl), timeoutBody).ServeHTTP(w, r)
+	})
+}
+
 // breakerHeader marks a 503 produced by the open circuit breaker, so
 // clients and the chaos harness can tell a fast-fail from an
 // overload shed or a drain.
@@ -179,14 +209,16 @@ const breakerHeader = "X-Circuit"
 // breakerGate wraps the simulation endpoints in a circuit breaker:
 // repeated request timeouts trip it, after which calls fast-fail with
 // 503 + Retry-After instead of queueing doomed work behind a struggling
-// simulator. Each request records exactly one outcome — a failure as
-// soon as its deadline fires, otherwise a success when the handler
-// returns — so the breaker measures the slow-path symptom (timeouts),
-// not client errors. Recording at the deadline rather than at return
-// matters when the handler ignores its context: the timeout handler has
-// already answered 503, and the client's next request must find the
-// circuit tripped rather than time out again.
+// simulator. Each request records exactly one outcome — a failure when
+// its deadline has passed, otherwise a success — so the breaker
+// measures the slow-path symptom (timeouts), not client errors. The
+// gate answers the timeout itself (answerTimeout) and records the
+// outcome before it returns. net/http sends the buffered 503 only after
+// the handler chain returns, so a client whose request timed out finds
+// the circuit tripped on its next request, even when the handler
+// ignores its context and is still running.
 func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
+	next = answerTimeout(next)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if !br.Allow() {
 			w.Header().Set("Retry-After", strconv.Itoa(int(br.Cooldown().Seconds())+1))
@@ -195,23 +227,14 @@ func breakerGate(br *resilience.Breaker, next http.Handler) http.Handler {
 				fmt.Errorf("simulation circuit open after repeated timeouts; retry after cooldown"))
 			return
 		}
-		settle := sync.OnceFunc(func() {
-			if r.Context().Err() == context.DeadlineExceeded {
+		defer func() {
+			// Settled in a defer so a panicking handler still settles its
+			// half-open probe instead of wedging the breaker.
+			if dl, ok := r.Context().Deadline(); ok && !time.Now().Before(dl) {
 				br.Failure()
 			} else {
 				br.Success()
 			}
-		})
-		stop := context.AfterFunc(r.Context(), func() {
-			if r.Context().Err() == context.DeadlineExceeded {
-				settle()
-			}
-		})
-		defer func() {
-			// Settled in a defer so a panicking handler still settles its
-			// half-open probe instead of wedging the breaker.
-			stop()
-			settle()
 		}()
 		next.ServeHTTP(w, r)
 	})

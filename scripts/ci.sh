@@ -51,8 +51,9 @@ go test ./...
 go test -race -shuffle=on ./...
 # Breaker timing: a timed-out simulate must trip the circuit before the
 # client's next request, on every run — a rerun catches a timing flake
-# that a single pass lets through.
-go test -count=20 -run='^TestSimulateTimeoutTripsBreaker$' ./internal/httpapi
+# that a single pass lets through, and several GOMAXPROCS values vary
+# the goroutine interleavings the race depends on.
+go test -count=20 -cpu 1,2,4 -run='^TestSimulateTimeoutTripsBreaker$' ./internal/httpapi
 go test -run='^$' -bench=. -benchtime=1x -benchmem ./...
 
 # --- static analysis: a pinned staticcheck via the module proxy; a
