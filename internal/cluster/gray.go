@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"vodalloc/internal/faults"
 )
 
 // Node-level gray failures for the churn simulator: unlike a NodeFault
@@ -167,7 +169,7 @@ func ParseGrayFaults(spec string) ([]GrayFault, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: gray fault %q wants kind:node@start[-end]:factor", ErrBadCluster, tok)
 		}
-		fromStr, toStr, ranged := cutTimeRange(times)
+		fromStr, toStr, ranged := faults.CutTimeRange(times)
 		v, err := strconv.ParseFloat(fromStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: gray fault %q: %v", ErrBadCluster, tok, err)
@@ -205,16 +207,4 @@ func cutDiskSuffix(node string) (base, digits string, ok bool) {
 		}
 	}
 	return node[:i], digits, true
-}
-
-// cutTimeRange splits "T-T2" into its endpoints, leaving exponent
-// notation like 1e-3 intact: the separator is the first '-' that is
-// neither leading nor preceded by an exponent marker.
-func cutTimeRange(s string) (from, to string, ranged bool) {
-	for i := 1; i < len(s); i++ {
-		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }

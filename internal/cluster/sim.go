@@ -41,7 +41,8 @@ func (f NodeFault) Validate(known map[string]bool) error {
 
 // ParseNodeFaults parses a node-outage spec: comma-separated
 // "node@start" (permanent) or "node@start-end" (repaired at end), e.g.
-// "node0@400,node2@500-1500". An empty spec is an empty schedule.
+// "node0@400,node2@500-1500"; times may use exponent notation (1e-3).
+// An empty spec is an empty schedule.
 func ParseNodeFaults(spec string) ([]NodeFault, error) {
 	if spec == "" {
 		return nil, nil
@@ -54,7 +55,7 @@ func ParseNodeFaults(spec string) ([]NodeFault, error) {
 			return nil, fmt.Errorf("%w: bad fault %q: want node@start[-end]", ErrBadCluster, part)
 		}
 		f := NodeFault{Node: node}
-		at, until, ranged := strings.Cut(times, "-")
+		at, until, ranged := faults.CutTimeRange(times)
 		v, err := strconv.ParseFloat(at, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad fault %q: %v", ErrBadCluster, part, err)

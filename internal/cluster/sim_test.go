@@ -318,6 +318,46 @@ func TestSimConfigValidate(t *testing.T) {
 	}
 }
 
+// TestParseNodeFaults pins the node-outage spec: exponent notation in
+// either endpoint parses as a number rather than splitting the range,
+// and malformed specs are refused with ErrBadCluster.
+func TestParseNodeFaults(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want []NodeFault
+	}{
+		{"node0@400", []NodeFault{{Node: "node0", At: 400}}},
+		{"node0@100-200", []NodeFault{{Node: "node0", At: 100, Until: 200}}},
+		{"node0@1e-3", []NodeFault{{Node: "node0", At: 1e-3}}},
+		{"node0@1e2-2e3", []NodeFault{{Node: "node0", At: 100, Until: 2000}}},
+		{"node0@400, node2@500-1500", []NodeFault{{Node: "node0", At: 400}, {Node: "node2", At: 500, Until: 1500}}},
+		{"", nil},
+	} {
+		got, err := ParseNodeFaults(tc.spec)
+		if err != nil {
+			t.Errorf("%q: %v", tc.spec, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%q: got %+v, want %+v", tc.spec, got, tc.want)
+		}
+	}
+	for _, spec := range []string{
+		"node0",         // no @
+		"@400",          // empty node
+		"node0@",        // no start
+		"node0@abc",     // bad start
+		"node0@100-",    // empty end
+		"node0@100-xyz", // bad end
+		"node0@1e-3-x",  // bad end after an exponent
+		"node0@400,",    // empty trailing fault
+	} {
+		if got, err := ParseNodeFaults(spec); !errors.Is(err, ErrBadCluster) {
+			t.Errorf("%q: got %+v, %v; want ErrBadCluster", spec, got, err)
+		}
+	}
+}
+
 // TestSimulateRoutingFlowsPinned pins Simulate's routing pass — every
 // movie's arrivals, routed, shed and failovers, and the rebalance count —
 // across outage shapes: none, a repaired and a permanent outage of the

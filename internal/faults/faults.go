@@ -213,7 +213,7 @@ func Parse(spec string) (Schedule, error) {
 		ranged := false
 		switch kind {
 		case "slow", "jitter", "brownout":
-			fromStr, toStr, ranged = cutTimeRange(atStr)
+			fromStr, toStr, ranged = CutTimeRange(atStr)
 		}
 		at, err := strconv.ParseFloat(fromStr, 64)
 		if err != nil {
@@ -290,10 +290,11 @@ func Parse(spec string) (Schedule, error) {
 	return out.Sorted(), nil
 }
 
-// cutTimeRange splits "T-T2" into its endpoints, leaving exponent
+// CutTimeRange splits "T-T2" into its endpoints, leaving exponent
 // notation like 1e-3 intact: the separator is the first '-' that is
-// neither leading nor preceded by an exponent marker.
-func cutTimeRange(s string) (from, to string, ranged bool) {
+// neither leading nor preceded by an exponent marker. The node, gray
+// and disk fault parsers all split their time ranges here.
+func CutTimeRange(s string) (from, to string, ranged bool) {
 	for i := 1; i < len(s); i++ {
 		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
 			return s[:i], s[i+1:], true
