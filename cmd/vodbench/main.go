@@ -15,10 +15,10 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -91,136 +91,6 @@ func main() {
 		return false
 	}
 
-	fig7 := map[string]experiments.Fig7Variant{
-		"fig7a": experiments.Fig7FF,
-		"fig7b": experiments.Fig7RW,
-		"fig7c": experiments.Fig7PAU,
-		"fig7d": experiments.Fig7Mixed,
-	}
-	fig7Runner := func(name string) func(experiments.Options, io.Writer) error {
-		return func(o experiments.Options, w io.Writer) error {
-			series, err := experiments.Fig7(fig7[name], o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig7(w, fig7[name], series)
-			return nil
-		}
-	}
-	runners := []struct {
-		name string
-		run  func(experiments.Options, io.Writer) error
-	}{
-		{"fig7a", fig7Runner("fig7a")},
-		{"fig7b", fig7Runner("fig7b")},
-		{"fig7c", fig7Runner("fig7c")},
-		{"fig7d", fig7Runner("fig7d")},
-		{"fig8", func(o experiments.Options, w io.Writer) error {
-			results, err := experiments.Fig8(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig8(w, results)
-			return nil
-		}},
-		{"ex1", func(o experiments.Options, w io.Writer) error {
-			r, err := experiments.Example1(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintExample1(w, r)
-			return nil
-		}},
-		{"fig9", func(o experiments.Options, w io.Writer) error {
-			curves, err := experiments.Fig9(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFig9(w, curves)
-			return nil
-		}},
-		{"ex2", func(o experiments.Options, w io.Writer) error {
-			r, err := experiments.Example2(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintExample2(w, r)
-			return nil
-		}},
-		{"sens", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Sensitivity(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintSensitivity(w, rows)
-			return nil
-		}},
-		{"piggyback", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Piggyback(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintPiggyback(w, rows)
-			return nil
-		}},
-		{"e2e", func(o experiments.Options, w io.Writer) error {
-			r, err := experiments.EndToEnd(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintEndToEnd(w, r)
-			return nil
-		}},
-		{"faults", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Faults(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintFaults(w, rows)
-			return nil
-		}},
-		{"cluster", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Cluster(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintCluster(w, rows)
-			return nil
-		}},
-		{"churn", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Churn(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintChurn(w, rows)
-			return nil
-		}},
-		{"gray", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Gray(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintGray(w, rows)
-			return nil
-		}},
-		{"scale", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.Scale(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintScale(w, rows)
-			return nil
-		}},
-		{"verify", func(o experiments.Options, w io.Writer) error {
-			rows, err := experiments.VerifyTable(o)
-			if err != nil {
-				return err
-			}
-			experiments.PrintVerifyTable(w, rows)
-			return nil
-		}},
-	}
-
 	run := benchRun{
 		Label:      *label,
 		Quick:      *quick,
@@ -229,16 +99,16 @@ func main() {
 		Seed:       *seed,
 	}
 	start := time.Now()
-	for _, r := range runners {
-		if !want(r.name) {
+	for _, e := range experiments.All {
+		if !want(e.Name) {
 			continue
 		}
 		t0 := time.Now()
-		if err := r.run(opts, os.Stdout); err != nil {
+		if err := e.Run(context.Background(), opts, os.Stdout); err != nil {
 			fatal(err)
 		}
 		run.Experiments = append(run.Experiments, expTiming{
-			Name:    r.name,
+			Name:    e.Name,
 			Seconds: time.Since(t0).Seconds(),
 		})
 	}

@@ -3,38 +3,19 @@ package experiments
 import (
 	"context"
 	"errors"
+	"io"
 	"testing"
 )
 
-// TestExperimentsCtxPreCanceled verifies every ctx-aware experiment
-// entry point aborts on an already-dead context instead of running its
-// sweep.
+// TestExperimentsCtxPreCanceled verifies every experiment aborts on an
+// already-dead context instead of running its sweep.
 func TestExperimentsCtxPreCanceled(t *testing.T) {
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
 	o := Options{Quick: true, Workers: 2}
-
-	tests := []struct {
-		name string
-		call func() error
-	}{
-		{"Fig7Ctx", func() error { _, err := Fig7Ctx(dead, Fig7FF, o); return err }},
-		{"Fig8Ctx", func() error { _, err := Fig8Ctx(dead, o); return err }},
-		{"Example1Ctx", func() error { _, err := Example1Ctx(dead, o); return err }},
-		{"Fig9Ctx", func() error { _, err := Fig9Ctx(dead, o); return err }},
-		{"Example2Ctx", func() error { _, err := Example2Ctx(dead, o); return err }},
-		{"VerifyTableCtx", func() error { _, err := VerifyTableCtx(dead, o); return err }},
-		{"SensitivityCtx", func() error { _, err := SensitivityCtx(dead, o); return err }},
-		{"FaultsCtx", func() error { _, err := FaultsCtx(dead, o); return err }},
-		{"PiggybackCtx", func() error { _, err := PiggybackCtx(dead, o); return err }},
-		{"EndToEndCtx", func() error { _, err := EndToEndCtx(dead, o); return err }},
-		{"ChurnCtx", func() error { _, err := ChurnCtx(dead, o); return err }},
-		{"GrayCtx", func() error { _, err := GrayCtx(dead, o); return err }},
-		{"ScaleCtx", func() error { _, err := ScaleCtx(dead, o); return err }},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.call(); !errors.Is(err, context.Canceled) {
+	for _, e := range All {
+		t.Run(e.Name, func(t *testing.T) {
+			if err := e.Run(dead, o, io.Discard); !errors.Is(err, context.Canceled) {
 				t.Errorf("err = %v, want context.Canceled", err)
 			}
 		})

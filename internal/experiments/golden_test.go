@@ -2,10 +2,10 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,36 +17,26 @@ import (
 //	go test ./internal/experiments -run TestGoldenOutput -update
 var update = flag.Bool("update", false, "rewrite the golden output checksums under testdata/golden")
 
-// goldenExperiments print byte-identical quick output across refactors
-// of the engines beneath them: every experiment of
-// `vodbench -exp all -quick`, in its order. Each checksum file holds the
-// sha256 of `vodbench -exp <name> -quick` (seed 1), so a checksum can
-// also be checked by hand:
+// Every experiment of `vodbench -exp all -quick` (All) prints
+// byte-identical quick output across refactors of the engines beneath
+// it. Each checksum file holds the sha256 of `vodbench -exp <name>
+// -quick` (seed 1), so a checksum can also be checked by hand:
 //
 //	go run ./cmd/vodbench -exp gray -quick | sha256sum
 //
-// The one exception is scale, whose renderer zeroes the wall-clock
-// column (see renderers), so its checksum covers only the simulated
+// The one exception is scale, whose test run zeroes the wall-clock
+// column (see render), so its checksum covers only the simulated
 // statistics and differs from the CLI's.
-var goldenExperiments = []string{
-	"fig7a", "fig7b", "fig7c", "fig7d", "fig8", "ex1", "fig9", "ex2", "sens",
-	"piggyback", "e2e", "faults", "cluster", "churn", "gray", "scale", "verify",
-}
-
 func TestGoldenOutput(t *testing.T) {
-	for _, name := range goldenExperiments {
+	// A checksum without an experiment in All would go unchecked.
+	if files, _ := filepath.Glob(filepath.Join("testdata", "golden", "*.sha256")); !*update && len(files) != len(All) {
+		t.Fatalf("%d golden checksums for %d experiments", len(files), len(All))
+	}
+	for _, e := range All {
+		name, run := e.Name, render(e)
 		t.Run(name, func(t *testing.T) {
-			var run func(Options, io.Writer) error
-			for _, r := range renderers {
-				if r.name == name {
-					run = r.run
-				}
-			}
-			if run == nil {
-				t.Fatalf("no renderer for %q", name)
-			}
 			var out bytes.Buffer
-			if err := run(Options{Quick: true, Seed: 1}, &out); err != nil {
+			if err := run(context.Background(), Options{Quick: true, Seed: 1}, &out); err != nil {
 				t.Fatal(err)
 			}
 			got := fmt.Sprintf("%x", sha256.Sum256(out.Bytes()))
