@@ -259,14 +259,18 @@ func (r *ChurnResult) Summary() string {
 	return b.String()
 }
 
-// Churn event classes, in tie-break priority order at equal timestamps:
-// node transitions first (outages, then gray set/clear), then migration
-// completions (a replica landing at time t serves traffic at time t),
-// the epoch re-draw and the control tick before traffic, and departures
-// before arrivals so slots free first. The kernel fires equal-time
-// events lowest class first, FIFO within a class.
+// Churn event kinds, fired by churnRun.Fire. Each kind is also its
+// kernel class, so the list is in tie-break priority order at equal
+// timestamps: node transitions first (outages, then gray set/clear),
+// then migration completions (a replica landing at time t serves
+// traffic at time t), the epoch re-draw and the control tick before
+// traffic, and departures before arrivals so slots free first. The
+// kernel fires equal-time events lowest class first, FIFO within a
+// class. The operand of an outage or gray event is its index in the
+// config's Faults or Gray, of a migration or departure its index in the
+// run's table, and of an arrival epoch·len(movies) + movie.
 const (
-	cevDown uint8 = iota
+	cevDown des.Kind = iota
 	cevUp
 	cevGraySet
 	cevGrayClear
@@ -289,9 +293,14 @@ type churnRun struct {
 	rngs     []*rand.Rand
 	rates    []float64
 	k        horizonKernel
-	arrive   []func(now float64) // per-movie arrival callbacks, stamped with epoch
 	epoch    int
 	flashEnd float64
+	// migrations and departures hold the operands of scheduled
+	// migration landings and viewer departures. An event at or past the
+	// horizon never fires on the run, so its record stays in use until
+	// the run ends.
+	migrations des.Slots[Migration]
+	departures des.Slots[departure]
 
 	arrivals, admitted uint64
 	shed               [3]uint64 // by ShedReason
@@ -314,6 +323,14 @@ type churnRun struct {
 	waits                         []float64
 	waitSum, waitMax              float64
 	starved                       uint64
+}
+
+// departure is an admitted viewer's booking, released when he leaves:
+// the movie's index, the serving node and, on gray runs, its disk.
+type departure struct {
+	movie int
+	node  string
+	disk  int
 }
 
 // movieFlow is one movie's post-warmup routing tallies: arrivals, those
@@ -344,7 +361,6 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		rngs:        make([]*rand.Rand, len(cfg.Workload.Movies)),
 		rates:       make([]float64, len(cfg.Workload.Movies)),
 		k:           horizonKernel{horizon: cfg.Horizon},
-		arrive:      make([]func(float64), len(cfg.Workload.Movies)),
 		flows:       make([]movieFlow, len(cfg.Workload.Movies)),
 		flashEnd:    cfg.Workload.LastFlashEnd(),
 		convergedAt: -1,
@@ -360,10 +376,10 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 			r.alloc[a.Movie] = a.MovieAlloc
 		}
 	}
-	for _, f := range cfg.Faults {
-		r.k.at(f.At, cevDown, "down", func(float64) { r.setNodeDown(f.Node, true) })
+	for i, f := range cfg.Faults {
+		r.k.at(f.At, cevDown, r, i)
 		if f.Until > f.At {
-			r.k.at(f.Until, cevUp, "up", func(float64) { r.setNodeDown(f.Node, false) })
+			r.k.at(f.Until, cevUp, r, i)
 		}
 	}
 	if cfg.grayActive() {
@@ -385,10 +401,10 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 			}
 		}
 		r.grayRNG = rand.New(rand.NewSource(cfg.Seed ^ churnGraySalt))
-		for _, g := range cfg.Gray {
-			r.k.at(g.At, cevGraySet, "gray-set", func(float64) { r.applyGray(g, true) })
+		for i, g := range cfg.Gray {
+			r.k.at(g.At, cevGraySet, r, i)
 			if g.Until > g.At {
-				r.k.at(g.Until, cevGrayClear, "gray-clear", func(float64) { r.applyGray(g, false) })
+				r.k.at(g.Until, cevGrayClear, r, i)
 			}
 		}
 	}
@@ -398,10 +414,10 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 	}
 	r.redrawArrivals(0)
 	if el := cfg.Workload.EpochLength(); el < cfg.Horizon && !cfg.Workload.Static() {
-		r.k.at(el, cevEpoch, "epoch", r.epochBoundary)
+		r.k.at(el, cevEpoch, r, 0)
 	}
 	if r.ctrl != nil {
-		r.k.at(r.ctrl.cfg.Interval, cevTick, "tick", r.tick)
+		r.k.at(r.ctrl.cfg.Interval, cevTick, r, 0)
 	}
 	if r.k.err != nil {
 		return nil, r.k.err
@@ -409,13 +425,35 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 	return r, nil
 }
 
-// redrawArrivals stamps every movie's arrival callback with the current
-// epoch and draws its next gap from `from` at the epoch's rate. Draws
-// scheduled under an earlier epoch stay queued and fire as no-ops.
+// Fire runs one of the run's events.
+func (r *churnRun) Fire(now float64, kind des.Kind, arg int) {
+	switch kind {
+	case cevDown, cevUp:
+		r.setNodeDown(r.cfg.Faults[arg].Node, kind == cevDown)
+	case cevGraySet, cevGrayClear:
+		r.applyGray(r.cfg.Gray[arg], kind == cevGraySet)
+	case cevMigDone:
+		if err := r.ctrl.Complete(r.migrations.Take(arg)); err != nil {
+			r.k.fail(err)
+		}
+	case cevEpoch:
+		r.epochBoundary(now)
+	case cevTick:
+		r.tick(now)
+	case cevDeparture:
+		r.depart(r.departures.Take(arg))
+	case cevArrival:
+		r.arrival(arg%len(r.movies), arg/len(r.movies), now)
+	default:
+		panic(fmt.Sprintf("cluster: churn event kind %d", kind))
+	}
+}
+
+// redrawArrivals draws every movie's next gap from `from` at the current
+// epoch's rate, stamping each draw with the epoch. Draws scheduled under
+// an earlier epoch stay queued and fire as no-ops.
 func (r *churnRun) redrawArrivals(from float64) {
 	for i := range r.movies {
-		epoch := r.epoch
-		r.arrive[i] = func(now float64) { r.arrival(i, epoch, now) }
 		r.scheduleArrival(i, from)
 	}
 }
@@ -427,7 +465,7 @@ func (r *churnRun) scheduleArrival(i int, from float64) {
 	if !(r.rates[i] > 0) {
 		return
 	}
-	r.k.at(from+r.rngs[i].ExpFloat64()/r.rates[i], cevArrival, "arrival", r.arrive[i])
+	r.k.at(from+r.rngs[i].ExpFloat64()/r.rates[i], cevArrival, r, r.epoch*len(r.movies)+i)
 }
 
 // winFor returns the accumulator of the window containing time t,
@@ -460,25 +498,21 @@ func (r *churnRun) epochBoundary(now float64) {
 	// memorylessness); the stale draws in the queue die by epoch stamp.
 	r.redrawArrivals(now)
 	if next := now + r.cfg.Workload.EpochLength(); next < r.cfg.Horizon {
-		r.k.at(next, cevEpoch, "epoch", r.epochBoundary)
+		r.k.at(next, cevEpoch, r, 0)
 	}
 }
 
 // tick runs one controller round and schedules its migrations' landings.
 func (r *churnRun) tick(now float64) {
 	for _, m := range r.ctrl.Tick(now) {
-		r.k.at(m.Done, cevMigDone, "migration", func(float64) {
-			if err := r.ctrl.Complete(m); err != nil {
-				r.k.fail(err)
-			}
-		})
+		r.k.at(m.Done, cevMigDone, r, r.migrations.Put(m))
 	}
 	if r.convergedAt < 0 && r.flashEnd > 0 && now >= r.flashEnd &&
 		r.ctrl.InFlight() == 0 && r.ctrl.QuietTicks() >= 2 {
 		r.convergedAt = now
 	}
 	if next := now + r.ctrl.cfg.Interval; next < r.cfg.Horizon {
-		r.k.at(next, cevTick, "tick", r.tick)
+		r.k.at(next, cevTick, r, 0)
 	}
 }
 
@@ -535,16 +569,7 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 		}
 		return
 	}
-	node := d.Node
-	r.k.at(now+r.movies[i].Length, cevDeparture, "departure", func(float64) {
-		if r.grayOn {
-			// Gray departures drain the exact disk that served the stream,
-			// recorded at admission — replay-exact per-disk occupancy.
-			r.router.ReleaseDisk(name, node, disk)
-		} else {
-			r.router.Release(name, node)
-		}
-	})
+	r.k.at(now+r.movies[i].Length, cevDeparture, r, r.departures.Put(departure{movie: i, node: d.Node, disk: disk}))
 	if !measured {
 		return
 	}
@@ -574,6 +599,18 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 			r.starved++
 			win.starved++
 		}
+	}
+}
+
+// depart releases a departing viewer's booking.
+func (r *churnRun) depart(d departure) {
+	name := r.movies[d.movie].Name
+	if r.grayOn {
+		// Gray departures drain the exact disk that served the stream,
+		// recorded at admission — replay-exact per-disk occupancy.
+		r.router.ReleaseDisk(name, d.node, d.disk)
+	} else {
+		r.router.Release(name, d.node)
 	}
 }
 

@@ -16,11 +16,11 @@ func TestHorizonKernelEndsAtFirstLateArrival(t *testing.T) {
 	k := &horizonKernel{horizon: 10}
 	var fired []string
 	rec := func(s string) func(float64) { return func(float64) { fired = append(fired, s) } }
-	k.at(5, cevDeparture, "early", rec("early"))
-	k.at(10, cevDeparture, "late", rec("late"))
-	k.at(12, cevArrival, "arrival", rec("arrival"))
-	k.at(12, cevDeparture, "tie", rec("tie"))
-	k.at(15, cevDeparture, "after", rec("after"))
+	k.at(5, cevDeparture, des.Func(rec("early")), 0)
+	k.at(10, cevDeparture, des.Func(rec("late")), 0)
+	k.at(12, cevArrival, des.Func(rec("arrival")), 0)
+	k.at(12, cevDeparture, des.Func(rec("tie")), 0)
+	k.at(15, cevDeparture, des.Func(rec("after")), 0)
 	k.Run()
 	if len(fired) != 1 || fired[0] != "early" {
 		t.Errorf("callbacks fired: %v, want only early", fired)
@@ -48,7 +48,7 @@ func TestChurnRefusedTimeIsAnError(t *testing.T) {
 			for i := 0; i < 100; i++ {
 				r.k.Step()
 			}
-			r.k.at(at(r.k.Now()), cevTick, "bad", r.tick)
+			r.k.at(at(r.k.Now()), cevTick, r, 0)
 			if err := r.run(context.Background(), 0, nil); !errors.Is(err, des.ErrPastEvent) {
 				t.Fatalf("run: %v, want des.ErrPastEvent", err)
 			}

@@ -303,3 +303,100 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 		t.Errorf("schedule+fire allocates %.3f objects/op; the arena hot path must stay allocation-free", avg)
 	}
 }
+
+// typedAction is one typed event of typedDriver: the callback it stands
+// for and the kind it was scheduled with.
+type typedAction struct {
+	kind   Kind
+	action func(now float64)
+}
+
+// typedTable is typedDriver's receiver: an event's operand indexes the
+// table, and Fire checks that the kind came back unchanged.
+type typedTable []typedAction
+
+func (tt *typedTable) Fire(now float64, kind Kind, arg int) {
+	a := (*tt)[arg]
+	if kind != a.kind {
+		panic("des: typed event fired with another kind")
+	}
+	a.action(now)
+}
+
+// typedDriver schedules two events in three as typed events on one
+// receiver and the third as a closure event, so both kinds share the
+// queue, the classes and the FIFO ties.
+func typedDriver(k *Kernel) driver {
+	table := &typedTable{}
+	n := 0
+	return driver{
+		schedule: func(t float64, class uint8, action func(now float64)) func() bool {
+			var h Handle
+			var err error
+			if n++; n%3 == 0 {
+				h, err = k.ScheduleAtClass(t, class, "closure", action)
+			} else {
+				kind := Kind(n % 7)
+				*table = append(*table, typedAction{kind, action})
+				h, err = k.ScheduleEvent(t, class, table, kind, len(*table)-1)
+			}
+			if err != nil {
+				panic(err)
+			}
+			return func() bool { return k.Cancel(h) }
+		},
+		run: k.Run,
+	}
+}
+
+// observed wraps d so that every firing first logs state().
+func observed(d driver, log *[]State, state func() State) driver {
+	return driver{
+		schedule: func(t float64, class uint8, action func(now float64)) func() bool {
+			return d.schedule(t, class, func(now float64) {
+				*log = append(*log, state())
+				action(now)
+			})
+		},
+		run: d.run,
+	}
+}
+
+// Property: a kernel running a mix of typed and closure events fires
+// the reference kernel's (time, payload) sequence, agrees on every
+// Cancel result (live, fired and already-canceled handles alike), and
+// shows the same clock, sequence number, fired count and pending depth
+// at every firing and at the end.
+func TestPropertyTypedEventsMatchReferenceKernel(t *testing.T) {
+	prop := func(seed int64) bool {
+		var k Kernel
+		var tStates []State
+		tFired, tCancels := runScript(seed, observed(typedDriver(&k), &tStates, k.State))
+
+		var rk refKernel
+		var rStates []State
+		refState := func() State {
+			return State{Now: rk.now, Seq: rk.seq, Fired: uint64(len(rStates) + 1), Pending: rk.queue.Len()}
+		}
+		rFired, rCancels := runScript(seed, observed(refDriver(&rk), &rStates, refState))
+
+		if len(tFired) != len(rFired) || len(tCancels) != len(rCancels) || len(tStates) != len(rStates) {
+			return false
+		}
+		for i := range tFired {
+			if tFired[i] != rFired[i] || tStates[i] != rStates[i] {
+				return false
+			}
+		}
+		for i := range tCancels {
+			if tCancels[i] != rCancels[i] {
+				return false
+			}
+		}
+		end := State{Now: rk.now, Seq: rk.seq, Fired: uint64(len(rStates)), Pending: rk.queue.Len()}
+		return k.State() == end
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}

@@ -12,7 +12,8 @@
 //
 // Classes. An engine whose simultaneous events must fire in a fixed
 // order by kind (node transitions before traffic, departures before
-// arrivals) schedules them with ScheduleAtClass; ScheduleAt is class 0.
+// arrivals) schedules them in classes (ScheduleAtClass, ScheduleEvent);
+// ScheduleAt is class 0.
 // The class rides in the top byte of the event's sequence key, so the
 // heap still orders by (time, key) alone and class-0 keys equal the
 // plain scheduling sequence: an engine that never uses classes fires in
@@ -30,6 +31,19 @@
 // so checkpoint digests and replay boundaries are bit-identical to the
 // previous per-event-allocation kernel (the slab property test pins
 // this against a reference heap kernel).
+//
+// Typed events. An event record carries no closure: it holds a
+// Receiver, an engine-defined Kind and one integer operand, and firing
+// calls Receiver.Fire with the latter two. An engine implements Fire
+// once, switching over its own kind set, and names the object an event
+// concerns (a viewer, a particle, a departure) by its index in an
+// engine-owned table, so scheduling an event per viewer allocates
+// nothing. Schedule, ScheduleAt and ScheduleAtClass keep taking a plain
+// callback: they wrap it as a Func, a Receiver of func type, and that
+// conversion allocates nothing either, so both kinds of event share the
+// one record, queue and firing path. Engines keep callbacks only for
+// events a run schedules a fixed number of times, such as the
+// simulator's fault timeline.
 package des
 
 import (
@@ -38,16 +52,35 @@ import (
 	"math"
 )
 
-// event is one scheduled-callback slot in the kernel's arena. Slots are
+// Kind is an engine-defined event kind. The kernel passes it back to
+// the receiver untouched; each engine declares its own kind set.
+type Kind uint8
+
+// Receiver fires typed events: Fire runs the event of the given kind
+// with its operand at time now.
+type Receiver interface {
+	Fire(now float64, kind Kind, arg int)
+}
+
+// Func adapts a plain callback to Receiver, ignoring kind and operand.
+// A func value is pointer-shaped, so converting one to a Receiver does
+// not allocate.
+type Func func(now float64)
+
+// Fire calls f.
+func (f Func) Fire(now float64, _ Kind, _ int) { f(now) }
+
+// event is one scheduled-event slot in the kernel's arena. Slots are
 // recycled after firing or cancellation; the generation counter
 // invalidates Handles to previous incarnations.
 type event struct {
-	time   float64
-	seq    uint64 // class<<classShift | scheduling sequence: the equal-time tie-break
-	index  int32  // heap index; -1 once popped or canceled
-	gen    uint32 // incremented on recycle; stale Handles mismatch
-	action func(now float64)
-	label  string
+	time  float64
+	seq   uint64 // class<<classShift | scheduling sequence: the equal-time tie-break
+	index int32  // heap index; -1 once popped or canceled
+	gen   uint32 // incremented on recycle; stale Handles mismatch
+	kind  Kind
+	arg   int      // the receiver's operand
+	recv  Receiver // nil while the slot is free
 }
 
 // Handle is a generation-tagged reference to a scheduled event, usable
@@ -68,29 +101,11 @@ func (h Handle) Active() bool {
 // (or the Handle is zero).
 func (h Handle) Canceled() bool { return !h.Active() }
 
-// Time returns the event's scheduled time while it is pending, and NaN
-// once the Handle has gone stale.
-func (h Handle) Time() float64 {
-	if !h.Active() {
-		return math.NaN()
-	}
-	return h.ev.time
-}
-
-// Label returns the event's diagnostic label while it is pending, and
-// "" once the Handle has gone stale.
-func (h Handle) Label() string {
-	if !h.Active() {
-		return ""
-	}
-	return h.ev.label
-}
-
 // ErrPastEvent is returned when scheduling before the current clock.
 var ErrPastEvent = errors.New("des: cannot schedule event in the past")
 
 // slabBlock is the number of event records allocated per slab growth.
-// One block is 16 KiB; a simulation's live arena converges on its peak
+// One block is 14 KiB; a simulation's live arena converges on its peak
 // pending-event count and allocates nothing afterwards.
 const slabBlock = 256
 
@@ -134,12 +149,11 @@ func (k *Kernel) alloc() *event {
 
 // recycle returns a fired or canceled slot to the free list. Bumping the
 // generation invalidates every outstanding Handle to this incarnation;
-// clearing the action releases the closure (and whatever it captures)
+// clearing the receiver releases it (and whatever a callback captures)
 // to the GC immediately rather than at next reuse.
 func (k *Kernel) recycle(e *event) {
 	e.gen++
-	e.action = nil
-	e.label = ""
+	e.recv = nil
 	k.free = append(k.free, e)
 }
 
@@ -150,7 +164,7 @@ const classShift = 56
 
 // ScheduleAt registers action to run at absolute time t. Events at equal
 // times fire in scheduling order. It returns the event handle, usable
-// with Cancel.
+// with Cancel. The label only names the event in an ErrPastEvent error.
 func (k *Kernel) ScheduleAt(t float64, label string, action func(now float64)) (Handle, error) {
 	return k.ScheduleAtClass(t, 0, label, action)
 }
@@ -162,19 +176,36 @@ func (k *Kernel) ScheduleAtClass(t float64, class uint8, label string, action fu
 	if math.IsNaN(t) || t < k.now {
 		return Handle{}, fmt.Errorf("%w: t=%v now=%v (%s)", ErrPastEvent, t, k.now, label)
 	}
-	e := k.alloc()
-	e.time = t
-	e.seq = uint64(class)<<classShift | k.seq
-	e.action = action
-	e.label = label
-	k.seq++
-	k.push(e)
-	return Handle{ev: e, gen: e.gen}, nil
+	return k.post(t, class, Func(action), 0, 0), nil
 }
 
 // Schedule registers action to run delay time units from now.
 func (k *Kernel) Schedule(delay float64, label string, action func(now float64)) (Handle, error) {
 	return k.ScheduleAt(k.now+delay, label, action)
+}
+
+// ScheduleEvent registers a typed event at absolute time t in the given
+// tie-break class (see ScheduleAtClass): at t the kernel calls
+// r.Fire(t, kind, arg). It returns the event handle, usable with
+// Cancel.
+func (k *Kernel) ScheduleEvent(t float64, class uint8, r Receiver, kind Kind, arg int) (Handle, error) {
+	if math.IsNaN(t) || t < k.now {
+		return Handle{}, fmt.Errorf("%w: t=%v now=%v (kind %d)", ErrPastEvent, t, k.now, kind)
+	}
+	return k.post(t, class, r, kind, arg), nil
+}
+
+// post queues an event at a time already checked against the clock.
+func (k *Kernel) post(t float64, class uint8, r Receiver, kind Kind, arg int) Handle {
+	e := k.alloc()
+	e.time = t
+	e.seq = uint64(class)<<classShift | k.seq
+	e.kind = kind
+	e.arg = arg
+	e.recv = r
+	k.seq++
+	k.push(e)
+	return Handle{ev: e, gen: e.gen}
 }
 
 // Cancel removes a pending event. Canceling a fired, already-canceled,
@@ -205,9 +236,9 @@ func (k *Kernel) Step() bool {
 	e.index = -1
 	k.now = e.time
 	k.fired++
-	act := e.action
+	r, kind, arg := e.recv, e.kind, e.arg
 	k.recycle(e)
-	act(k.now)
+	r.Fire(k.now, kind, arg)
 	return true
 }
 

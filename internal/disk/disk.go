@@ -53,24 +53,29 @@ func StreamsPerDisk(diskMBps, streamMbps float64) int {
 	return int(math.Floor(diskMBps * 8 / streamMbps))
 }
 
-// Slot is a lease on one I/O stream. Release it back to the array when
-// the stream ends.
+// Slot is a lease on one I/O stream, held by value: a lease allocates
+// nothing. The zero Slot holds no lease. Release it back to the array
+// when the stream ends; Release clears the Slot, so releasing it twice
+// is a no-op. A copy of a held Slot is the same lease: release only one.
 type Slot struct {
-	disk  int
-	arr   *Array
-	freed bool
+	arr  *Array
+	disk int
 }
 
-// Disk returns the index of the disk carrying this stream.
-func (s *Slot) Disk() int { return s.disk }
+// Held reports whether the slot holds a lease.
+func (s Slot) Held() bool { return s.arr != nil }
 
-// Release returns the slot to the array. Releasing twice is a no-op.
+// Disk returns the index of the disk carrying this stream.
+func (s Slot) Disk() int { return s.disk }
+
+// Release returns the lease to the array and clears the slot. Releasing
+// a zero (or already released) Slot, or a nil *Slot, is a no-op.
 func (s *Slot) Release() {
-	if s == nil || s.freed {
+	if s == nil || s.arr == nil {
 		return
 	}
-	s.freed = true
 	s.arr.release(s.disk)
+	*s = Slot{}
 }
 
 // Array is a collection of identical disks with per-disk stream slots.
@@ -200,23 +205,23 @@ func (a *Array) Lost() int { return a.lost }
 // all live disks are full; otherwise ErrExhausted is returned. While
 // injected transient faults are pending, Allocate fails with
 // ErrTransient instead.
-func (a *Array) Allocate() (*Slot, error) {
+func (a *Array) Allocate() (Slot, error) {
 	if a.transient > 0 {
 		a.transient--
 		a.failures++
 		a.transients++
-		return nil, fmt.Errorf("%w (%d more pending)", ErrTransient, a.transient)
+		return Slot{}, fmt.Errorf("%w (%d more pending)", ErrTransient, a.transient)
 	}
 	if a.limit > 0 && a.inUse >= a.Capacity() {
 		a.failures++
-		return nil, fmt.Errorf("%w: %d streams at the provisioned limit", ErrExhausted, a.inUse)
+		return Slot{}, fmt.Errorf("%w: %d streams at the provisioned limit", ErrExhausted, a.inUse)
 	}
 	// The root is the lowest-index least-loaded live disk; when it is
 	// full, every live disk is.
 	if len(a.heap) == 0 || a.load[a.heap[0]] >= a.perDisk {
 		if !a.elastic {
 			a.failures++
-			return nil, fmt.Errorf("%w: %d streams on %d live disks", ErrExhausted, a.inUse, a.LiveDisks())
+			return Slot{}, fmt.Errorf("%w: %d streams on %d live disks", ErrExhausted, a.inUse, a.LiveDisks())
 		}
 		a.load = append(a.load, 0)
 		a.failed = append(a.failed, false)
@@ -232,7 +237,7 @@ func (a *Array) Allocate() (*Slot, error) {
 	if a.inUse > a.peak {
 		a.peak = a.inUse
 	}
-	return &Slot{disk: best, arr: a}, nil
+	return Slot{arr: a, disk: best}, nil
 }
 
 func (a *Array) release(diskID int) {

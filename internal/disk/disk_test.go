@@ -40,7 +40,7 @@ func TestAllocateUntilExhausted(t *testing.T) {
 	if a.Capacity() != 6 {
 		t.Fatalf("capacity %d want 6", a.Capacity())
 	}
-	var slots []*Slot
+	var slots []Slot
 	for i := 0; i < 6; i++ {
 		s, err := a.Allocate()
 		if err != nil {
@@ -79,6 +79,29 @@ func TestDoubleReleaseIsNoop(t *testing.T) {
 	}
 	var nilSlot *Slot
 	nilSlot.Release() // must not panic
+}
+
+// An elastic-array lease is a value: an Allocate/Release pair allocates
+// nothing, so the simulator's per-viewer stream leases stay off the
+// heap.
+func TestElasticLeaseAllocatesNothing(t *testing.T) {
+	a, err := NewElastic(10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		s, err := a.Allocate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Release()
+	})
+	if avg != 0 {
+		t.Errorf("an Allocate/Release lease allocates %.2f objects; want 0", avg)
+	}
+	if a.InUse() != 0 {
+		t.Errorf("in use %d after every lease was released", a.InUse())
+	}
 }
 
 func TestLoadBalancing(t *testing.T) {
@@ -124,7 +147,7 @@ func TestPropertyConservation(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []*Slot
+		var live []Slot
 		for op := 0; op < 200; op++ {
 			if rng.Float64() < 0.6 {
 				s, err := a.Allocate()
@@ -189,7 +212,7 @@ func TestFailDiskOrphansAndCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var slots []*Slot
+	var slots []Slot
 	for i := 0; i < 9; i++ { // 3 per disk, balanced
 		s, err := a.Allocate()
 		if err != nil {
@@ -242,7 +265,7 @@ func TestReleaseOnFailedDiskStaysOutOfPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var onDisk0 []*Slot
+	var onDisk0 []Slot
 	for i := 0; i < 4; i++ {
 		s, err := a.Allocate()
 		if err != nil {
@@ -370,7 +393,7 @@ func TestPropertyInvariantUnderFaults(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		var live []*Slot
+		var live []Slot
 		for op := 0; op < 400; op++ {
 			switch r := rng.Float64(); {
 			case r < 0.45:

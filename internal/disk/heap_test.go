@@ -62,7 +62,7 @@ func TestAllocateMatchesScan(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				var held []*Slot
+				var held []Slot
 				// Each seed leans towards allocation or release, so runs
 				// cover both a crowded array and a nearly empty one.
 				pAlloc := 0.3 + 0.4*rng.Float64()
@@ -145,7 +145,7 @@ func TestRepairKeepsStreamBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var onDisk0 []*Slot
+	var onDisk0 []Slot
 	for i := 0; i < 23; i++ {
 		s, err := a.Allocate()
 		if err != nil {
@@ -230,7 +230,7 @@ func BenchmarkArrayAllocate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	held := make([]*Slot, 0, disks*perDisk)
+	held := make([]Slot, 0, disks*perDisk)
 	for len(held) < disks*perDisk {
 		s, err := a.Allocate()
 		if err != nil {

@@ -38,8 +38,14 @@
 // interval doing the same disk-slot and buffer-pool accounting as the
 // DES backend — so shared-resource bookkeeping is exact.
 //
+// Every event is typed (see internal/des): the Movie is the receiver,
+// and the event kinds below name what fires. Live partitions and
+// particles sit in movie-owned tables with free lists, and their events
+// carry the table index, so neither a restart nor a particle allocates
+// per event.
+//
 // All randomness is drawn from the shared server rng inside event
-// callbacks, keeping replay-based checkpoint resume exact.
+// handlers, keeping replay-based checkpoint resume exact.
 package fluid
 
 import (
@@ -148,15 +154,17 @@ type Movie struct {
 	resEWMA     float64 // residency estimate R̂ (minutes in system)
 	lastRestart float64
 	cohorts     int // pending cohort-departure events
-	partsOpen   int // partitions restarted and not yet expired
+	// parts holds the partitions restarted and not yet expired.
+	parts des.Slots[batchPart]
 
 	// Counters (aggregate, full-λ scale).
 	arrivals, departures uint64
 	queuedArr            uint64
 	qMeasured            uint64 // queued arrivals inside the measured window
 
-	// Particle state and measurements (λ_p scale).
-	live       int // particles currently in system
+	// Particle state and measurements (λ_p scale). particles holds the
+	// shadow viewers currently in system.
+	particles  des.Slots[particle]
 	dedLevel   float64
 	hits       metrics.Proportion
 	hitsByKind map[vcr.Kind]*metrics.Proportion
@@ -221,7 +229,7 @@ func (m *Movie) Skipped() uint64 { return m.skipped }
 func (m *Movie) Start() {
 	m.batchTW.Set(0, 0)
 	m.scheduleRestart(0)
-	mustSchedule(m.env.K, m.env.Horizon, "fluid-flush", m.onFlush)
+	m.schedule(m.env.Horizon, evFlush, 0)
 	if m.lambdaP > 0 {
 		m.scheduleParticle(m.env.RNG.ExpFloat64() / m.lambdaP)
 	}
@@ -229,14 +237,77 @@ func (m *Movie) Start() {
 
 func (m *Movie) measuring(t float64) bool { return t >= m.env.Warmup }
 
-// mustSchedule wraps Kernel.ScheduleAt for internally generated times
-// that are never in the past by construction.
-func mustSchedule(k *des.Kernel, at float64, label string, fn func(float64)) des.Handle {
-	h, err := k.ScheduleAt(at, label, fn)
+// The fluid engine's event kinds, fired by Movie.Fire. The operand of a
+// partition event is the partition's index in m.parts, of a particle
+// event the particle's index in m.particles, and of a cohort departure
+// the cohort's viewer count.
+const (
+	evFlush des.Kind = iota
+	evRestart
+	evReadEnd
+	evExpire
+	evCohortDepart
+	evArrival
+	evJoin
+	evFinish
+	evThink
+	evResume
+)
+
+var eventNames = [...]string{
+	evFlush:        "fluid-flush",
+	evRestart:      "fluid-restart",
+	evReadEnd:      "fluid-readEnd",
+	evExpire:       "fluid-expire",
+	evCohortDepart: "fluid-cohort-depart",
+	evArrival:      "fluid-arrival",
+	evJoin:         "fluid-join",
+	evFinish:       "fluid-finish",
+	evThink:        "fluid-think",
+	evResume:       "fluid-resume",
+}
+
+// schedule queues one of the movie's events at an internally generated
+// time that is never in the past by construction.
+func (m *Movie) schedule(at float64, kind des.Kind, arg int) des.Handle {
+	h, err := m.env.K.ScheduleEvent(at, 0, m, kind, arg)
 	if err != nil {
-		panic(fmt.Sprintf("fluid: schedule %s: %v", label, err))
+		panic(fmt.Sprintf("fluid: schedule %s: %v", eventNames[kind], err))
 	}
 	return h
+}
+
+// Fire runs one of the movie's events; it makes the Movie the
+// des.Receiver its events are scheduled on.
+func (m *Movie) Fire(now float64, kind des.Kind, arg int) {
+	switch kind {
+	case evFlush:
+		m.onFlush(now)
+	case evRestart:
+		m.onRestart(now)
+	case evReadEnd:
+		m.parts.At(arg).slot.Release()
+		m.batchTW.Add(now, -1)
+	case evExpire:
+		if err := m.env.Pool.Release(m.parts.Take(arg).gross); err != nil {
+			panic(fmt.Sprintf("fluid: pool release failed: %v", err))
+		}
+	case evCohortDepart:
+		m.onCohortDepart(now, uint64(arg))
+	case evArrival:
+		m.onParticleArrival(now)
+	case evJoin:
+		m.startWatching(arg, now, 0)
+	case evFinish:
+		m.particles.At(arg).finishEv = des.Handle{}
+		m.departParticle(arg, now)
+	case evThink:
+		m.onThink(arg, now)
+	case evResume:
+		m.onResume(arg, now)
+	default:
+		panic(fmt.Sprintf("fluid: event kind %d", kind))
+	}
 }
 
 // --- batch partition lifecycle (discrete, exact accounting) -----------
@@ -245,7 +316,14 @@ func (m *Movie) scheduleRestart(at float64) {
 	if at > m.env.Horizon {
 		return
 	}
-	mustSchedule(m.env.K, at, "fluid-restart", m.onRestart)
+	m.schedule(at, evRestart, 0)
+}
+
+// batchPart is one live partition's resources: the batch stream's disk
+// slot, held until the read ends, and the buffer charged until expiry.
+type batchPart struct {
+	slot  disk.Slot
+	gross float64
 }
 
 func (m *Movie) onRestart(now float64) {
@@ -272,18 +350,13 @@ func (m *Movie) onRestart(now float64) {
 		m.env.Fail(fmt.Errorf("%w: movie %q at t=%.2f: %v", errBadConfig, m.cfg.Name, now, err))
 		return
 	}
-	m.partsOpen++
+	i := m.parts.Put(batchPart{slot: slot, gross: gross})
 	m.batchTW.Add(now, 1)
-	mustSchedule(m.env.K, part.ReadEndTime(), "fluid-readEnd", func(t float64) {
-		slot.Release()
-		m.batchTW.Add(t, -1)
-	})
-	mustSchedule(m.env.K, part.ExpireTime(), "fluid-expire", func(t float64) {
-		m.partsOpen--
-		if err := m.env.Pool.Release(gross); err != nil {
-			panic(fmt.Sprintf("fluid: pool release failed: %v", err))
-		}
-	})
+	// The read ends before the window expires (ExpireTime adds the span),
+	// and at a tie the earlier-scheduled read end fires first, so the
+	// partition's slot is still in use when evReadEnd reads it.
+	m.schedule(part.ReadEndTime(), evReadEnd, i)
+	m.schedule(part.ExpireTime(), evExpire, i)
 	m.scheduleRestart(now + m.period)
 }
 
@@ -333,15 +406,18 @@ func (m *Movie) accountCycle(now, start float64, join bool) {
 	// The cohort's mean age at accounting time is exactly d/2 (the
 	// open/closed split cancels), so departing R̂ − d/2 after now keeps
 	// the time-average level unbiased at λ·R̂.
-	n := imm + queued
 	dep := now + math.Max(0, m.resEWMA-d/2)
 	m.cohorts++
-	mustSchedule(m.env.K, dep, "fluid-cohort-depart", func(t float64) {
-		m.cohorts--
-		m.level -= a
-		m.departures += n
-		m.env.ViewersTW.Add(t, -a)
-	})
+	m.schedule(dep, evCohortDepart, int(imm+queued))
+}
+
+// onCohortDepart takes a cohort of n viewers out of the level.
+func (m *Movie) onCohortDepart(now float64, n uint64) {
+	a := float64(n)
+	m.cohorts--
+	m.level -= a
+	m.departures += n
+	m.env.ViewersTW.Add(now, -a)
 }
 
 // covered reports whether some batch partition buffers position pos at
@@ -377,7 +453,6 @@ type particle struct {
 	arrived           float64
 	t0, p0            float64 // current playback segment: position p0 at time t0
 	ded               bool
-	dead              bool
 	kind              vcr.Kind
 	out               vcr.Outcome
 	thinkEv, finishEv des.Handle
@@ -387,20 +462,18 @@ func (m *Movie) scheduleParticle(at float64) {
 	if at > m.env.Horizon {
 		return
 	}
-	mustSchedule(m.env.K, at, "fluid-arrival", m.onParticleArrival)
+	m.schedule(at, evArrival, 0)
 }
 
+// onParticleArrival admits a particle. Its table slot is freed only at
+// departure, when none of its events is pending: a queued particle's
+// one event is its join, and departParticle cancels the rest.
 func (m *Movie) onParticleArrival(now float64) {
-	p := &particle{arrived: now}
-	m.live++
+	i := m.particles.Put(particle{arrived: now})
 	if m.enrollmentOpen(now) {
-		m.startWatching(p, now, 0)
+		m.startWatching(i, now, 0)
 	} else if next := (math.Floor(now/m.period) + 1) * m.period; next <= m.env.Horizon {
-		mustSchedule(m.env.K, next, "fluid-join", func(t float64) {
-			if !p.dead {
-				m.startWatching(p, t, 0)
-			}
-		})
+		m.schedule(next, evJoin, i)
 	}
 	// else: queued past the final restart; inert until the horizon,
 	// like a DES viewer parked in the wait queue.
@@ -410,19 +483,16 @@ func (m *Movie) onParticleArrival(now float64) {
 // startWatching begins (or resumes) normal playback from pos. Batch and
 // dedicated playback share kinematics — display rate 1 — so the state
 // split is carried by p.ded alone.
-func (m *Movie) startWatching(p *particle, now, pos float64) {
+func (m *Movie) startWatching(i int, now, pos float64) {
+	p := m.particles.At(i)
 	p.t0, p.p0 = now, pos
-	p.finishEv = mustSchedule(m.env.K, now+(m.cfg.L-pos), "fluid-finish", func(t float64) {
-		p.finishEv = des.Handle{}
-		m.departParticle(p, t)
-	})
+	p.finishEv = m.schedule(now+(m.cfg.L-pos), evFinish, i)
 	think := m.cfg.Profile.SampleThink(m.env.RNG)
-	p.thinkEv = mustSchedule(m.env.K, now+think, "fluid-think", func(t float64) {
-		m.onThink(p, t)
-	})
+	p.thinkEv = m.schedule(now+think, evThink, i)
 }
 
-func (m *Movie) onThink(p *particle, now float64) {
+func (m *Movie) onThink(i int, now float64) {
+	p := m.particles.At(i)
 	p.thinkEv = des.Handle{}
 	pos := p.p0 + (now - p.t0)
 	if pos >= m.cfg.L {
@@ -443,32 +513,31 @@ func (m *Movie) onThink(p *particle, now float64) {
 	p.finishEv = des.Handle{}
 	p.kind = req.Kind
 	p.out = vcr.Apply(req, pos, m.cfg.L, m.cfg.Rates)
-	mustSchedule(m.env.K, now+p.out.Wall, "fluid-resume", func(t float64) {
-		m.onResume(p, t)
-	})
+	m.schedule(now+p.out.Wall, evResume, i)
 }
 
-func (m *Movie) onResume(p *particle, now float64) {
+func (m *Movie) onResume(i int, now float64) {
+	p := m.particles.At(i)
 	out := p.out
 	if out.RanOffEnd {
 		m.record(now, p.kind, true)
 		if m.measuring(now) {
 			m.endRuns++ // a subset of the measured hits, as in the DES
 		}
-		m.departParticle(p, now)
+		m.departParticle(i, now)
 		return
 	}
 	if m.covered(now, out.Pos) {
 		m.record(now, p.kind, true)
 		m.releaseDed(p, now)
-		m.startWatching(p, now, out.Pos)
+		m.startWatching(i, now, out.Pos)
 		return
 	}
 	// Miss: continue on a dedicated stream (elastic — fluid
 	// eligibility excludes stream caps, so acquisition cannot fail).
 	m.record(now, p.kind, false)
 	m.acquireDed(p, now)
-	m.startWatching(p, now, out.Pos)
+	m.startWatching(i, now, out.Pos)
 }
 
 func (m *Movie) record(now float64, kind vcr.Kind, hit bool) {
@@ -497,13 +566,13 @@ func (m *Movie) releaseDed(p *particle, now float64) {
 	m.env.DedTW.Add(now, -m.weight)
 }
 
-func (m *Movie) departParticle(p *particle, now float64) {
+func (m *Movie) departParticle(i int, now float64) {
+	p := m.particles.At(i)
 	m.releaseDed(p, now)
 	m.env.K.Cancel(p.thinkEv)
 	m.env.K.Cancel(p.finishEv)
-	p.dead = true
-	m.live--
 	m.resEWMA += residencyAlpha * ((now - p.arrived) - m.resEWMA)
+	m.particles.Free(i)
 }
 
 // --- collection and state digest --------------------------------------
@@ -547,7 +616,7 @@ func (m *Movie) Collect(now float64) Stats {
 		Departures:     m.departures,
 		OpPositions:    m.opPos,
 		Level:          m.level,
-		Particles:      m.live,
+		Particles:      m.particles.Len(),
 		DedLevel:       m.dedLevel,
 		Residency:      m.resEWMA,
 		Skipped:        m.skipped,
@@ -596,8 +665,8 @@ func (m *Movie) Digest(u64 func(uint64), f64 func(float64)) {
 	f64(m.dedLevel)
 	f64(m.resEWMA)
 	f64(m.lastRestart)
-	u64(uint64(m.live))
-	u64(uint64(m.partsOpen))
+	u64(uint64(m.particles.Len()))
+	u64(uint64(m.parts.Len()))
 	u64(uint64(m.cohorts))
 	u64(m.skipped)
 }

@@ -40,8 +40,10 @@ func bigPlanBody(t *testing.T, movies int) []byte {
 }
 
 // TestCanceledPlanFreesPool is the PR's acceptance test: a /v1/plan
-// canceled at t=50ms against a sweep that would run for seconds must
-// stop consuming worker-pool tokens within 100ms of the cancellation.
+// canceled mid-sweep must stop consuming worker-pool tokens within
+// 100ms of the cancellation. The client cancels as soon as the sweep
+// first holds a pool token, so the cancel lands mid-sweep by
+// construction, however fast planning gets.
 func TestCanceledPlanFreesPool(t *testing.T) {
 	pool := parallel.NewPool(2)
 	eval := &sizing.Evaluator{Workers: 2, Pool: pool}
@@ -49,16 +51,29 @@ func TestCanceledPlanFreesPool(t *testing.T) {
 	defer srv.Close()
 
 	body := bigPlanBody(t, 100)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL+"/v1/plan", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
+	answered := make(chan struct{})
+	defer close(answered)
+	go func() {
+		for pool.InUse() == 0 {
+			select {
+			case <-answered:
+				return
+			default:
+				time.Sleep(20 * time.Microsecond)
+			}
+		}
+		cancel()
+	}()
 	resp, err := srv.Client().Do(req)
 	if err == nil {
 		resp.Body.Close()
-		t.Fatalf("plan finished before the 50ms cancel (status %d); enlarge the catalog", resp.StatusCode)
+		t.Fatalf("plan finished before the mid-sweep cancel (status %d); enlarge the catalog", resp.StatusCode)
 	}
 
 	// The client has given up; the server-side sweep must drain its pool

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 
+	"vodalloc/internal/des"
 	"vodalloc/internal/disk"
 	"vodalloc/internal/faults"
 	"vodalloc/internal/trace"
@@ -39,9 +40,9 @@ func (s *Server) scheduleFaults() {
 			continue
 		}
 		ev := e
-		mustSchedule(&s.k, ev.At, "fault:"+ev.Kind.String(), func(now float64) { s.onFault(ev, now) })
+		s.schedule(ev.At, des.Func(func(now float64) { s.onFault(ev, now) }), evFault, 0)
 		if ev.Kind.Gray() && ev.Until > ev.At && ev.Until <= s.cfg.Horizon {
-			mustSchedule(&s.k, ev.Until, "faultend:"+ev.Kind.String(), func(now float64) { s.clearGray(ev, now) })
+			s.schedule(ev.Until, des.Func(func(now float64) { s.clearGray(ev, now) }), evFaultEnd, 0)
 		}
 	}
 }
@@ -177,10 +178,10 @@ func (s *Server) onDiskFail(d int, now float64) {
 	// needed; kill the partition when even preemption cannot place it.
 	for _, mv := range s.movies {
 		for _, ap := range append([]*activePart(nil), mv.parts...) {
-			if ap.slot == nil || ap.slot.Disk() != d {
+			if !ap.slot.Held() || ap.slot.Disk() != d {
 				continue
 			}
-			if slot := s.allocateBatchSlot(now); slot != nil {
+			if slot := s.allocateBatchSlot(now); slot.Held() {
 				ap.slot.Release() // orphan stays charged to the dead disk
 				ap.slot = slot
 				s.emit(now, trace.Recovered, mv.setup.Name, 0, 0, fmt.Sprintf("partition=%d re-admitted", ap.id))
@@ -194,7 +195,7 @@ func (s *Server) onDiskFail(d int, now float64) {
 	// on a surviving disk when one has room, otherwise degrade him.
 	for _, mv := range s.movies {
 		for _, v := range append([]*viewer(nil), mv.viewers...) {
-			if v.slot == nil || v.slot.Disk() != d || v.state == stateDone {
+			if !v.slot.Held() || v.slot.Disk() != d || v.state == stateDone {
 				continue
 			}
 			if slot, err := s.disks.Allocate(); err == nil {
@@ -241,10 +242,7 @@ func (s *Server) killPartition(mv *movieState, ap *activePart, now float64, why 
 	s.k.Cancel(ap.expireEv)
 	ap.readEndEv, ap.expireEv = noEv, noEv
 	ap.gone = true
-	if ap.slot != nil {
-		ap.slot.Release()
-		ap.slot = nil
-	}
+	ap.slot.Release()
 	if err := s.pool.Release(ap.part.Gross()); err != nil {
 		panic(fmt.Sprintf("sim: pool release failed: %v", err))
 	}
@@ -275,8 +273,8 @@ func (s *Server) killPartition(mv *movieState, ap *activePart, now float64, why 
 // dedicated VCR streams when the array is exhausted (batch priority).
 // Transient faults are ridden through: the retry is immediate because a
 // batch restart is a scheduled bulk operation, not an interactive
-// request. Returns nil when no capacity can be found at all.
-func (s *Server) allocateBatchSlot(now float64) *disk.Slot {
+// request. Returns the zero Slot when no capacity can be found at all.
+func (s *Server) allocateBatchSlot(now float64) disk.Slot {
 	for {
 		slot, err := s.disks.Allocate()
 		if err == nil {
@@ -288,7 +286,7 @@ func (s *Server) allocateBatchSlot(now float64) *disk.Slot {
 		}
 		v, mv := s.preemptVictim()
 		if v == nil {
-			return nil
+			return disk.Slot{}
 		}
 		s.preempt(mv, now, v)
 	}
@@ -300,7 +298,7 @@ func (s *Server) allocateBatchSlot(now float64) *disk.Slot {
 func (s *Server) preemptVictim() (*viewer, *movieState) {
 	for _, mv := range s.movies {
 		for _, v := range mv.viewers {
-			if v.slot == nil || v.state == stateDone {
+			if !v.slot.Held() || v.state == stateDone {
 				continue
 			}
 			if s.disks.DiskFailed(v.slot.Disk()) {
@@ -350,34 +348,33 @@ func (s *Server) fallbackToBatch(mv *movieState, now float64, v *viewer, pos flo
 			return
 		}
 	}
-	if v.str != nil {
-		v.str.Halt(now) // starved: the picture freezes where it was
-	}
+	v.str.Halt(now) // starved: the picture freezes where it was
 	v.state = stateDegraded
 	v.retries = 0
-	s.scheduleDegradedRetry(mv, now, v, pos)
+	v.at = pos
+	s.scheduleDegradedRetry(mv, now, v)
 }
 
-func (s *Server) scheduleDegradedRetry(mv *movieState, now float64, v *viewer, pos float64) {
+// scheduleDegradedRetry backs off the next retry of a degraded viewer
+// starved at position v.at, or sheds him once the retries run out.
+func (s *Server) scheduleDegradedRetry(mv *movieState, now float64, v *viewer) {
 	if v.retries >= maxFaultRetries {
 		mv.sheds++
-		s.emit(now, trace.Shed, mv.setup.Name, v.id, pos, "retries exhausted")
+		s.emit(now, trace.Shed, mv.setup.Name, v.id, v.at, "retries exhausted")
 		s.depart(mv, now, v)
 		return
 	}
 	delay := disk.RetryBackoff.Delay(v.retries)
 	v.retries++
 	mv.retries++
-	v.parkEv = mustSchedule(&s.k, now+delay, "degradedRetry", func(t float64) {
-		v.parkEv = noEv
-		s.onDegradedRetry(mv, t, v, pos)
-	})
+	v.parkEv = s.schedule(now+delay, mv, evDegradedRetry, v.idx)
 }
 
-func (s *Server) onDegradedRetry(mv *movieState, now float64, v *viewer, pos float64) {
+func (s *Server) onDegradedRetry(mv *movieState, now float64, v *viewer) {
 	if v.state != stateDegraded {
 		return
 	}
+	pos := v.at
 	if ap := s.coveringPartition(mv, now, pos); ap != nil {
 		if lag, ok := ap.part.LagOf(now, pos); ok {
 			s.joinPartition(mv, now, v, ap, lag)
@@ -390,15 +387,16 @@ func (s *Server) onDegradedRetry(mv *movieState, now float64, v *viewer, pos flo
 		s.continueDedicated(mv, now, v, pos)
 		return
 	}
-	s.scheduleDegradedRetry(mv, now, v, pos)
+	s.scheduleDegradedRetry(mv, now, v)
 }
 
 // scheduleOpRetry queues a blocked phase-1 VCR request: the viewer keeps
 // watching from his partition while the acquisition is retried with
 // exponential backoff; an exhausted chain abandons the request as a
-// forced miss back to pure batching.
-func (s *Server) scheduleOpRetry(mv *movieState, now float64, v *viewer, req vcr.Request, attempt int) {
-	if attempt >= maxFaultRetries {
+// forced miss back to pure batching. The request waits in v.pending and
+// the attempts made so far in v.retries.
+func (s *Server) scheduleOpRetry(mv *movieState, now float64, v *viewer) {
+	if v.retries >= maxFaultRetries {
 		mv.forcedMisses++
 		if s.measuring(now) {
 			mv.hits.Observe(false)
@@ -407,15 +405,13 @@ func (s *Server) scheduleOpRetry(mv *movieState, now float64, v *viewer, req vcr
 		s.scheduleThink(mv, now, v)
 		return
 	}
-	delay := disk.RetryBackoff.Delay(attempt)
+	delay := disk.RetryBackoff.Delay(v.retries)
+	v.retries++
 	mv.retries++
-	v.opRetryEv = mustSchedule(&s.k, now+delay, "opRetry", func(t float64) {
-		v.opRetryEv = noEv
-		s.onOpRetry(mv, t, v, req, attempt+1)
-	})
+	v.opRetryEv = s.schedule(now+delay, mv, evOpRetry, v.idx)
 }
 
-func (s *Server) onOpRetry(mv *movieState, now float64, v *viewer, req vcr.Request, attempt int) {
+func (s *Server) onOpRetry(mv *movieState, now float64, v *viewer) {
 	if v.state != stateWatching {
 		return // departed, fell back, or lost his partition meanwhile
 	}
@@ -424,17 +420,17 @@ func (s *Server) onOpRetry(mv *movieState, now float64, v *viewer, req vcr.Reque
 		return // finish fires momentarily
 	}
 	if !s.acquireDedicated(now, v) {
-		s.scheduleOpRetry(mv, now, v, req, attempt)
+		s.scheduleOpRetry(mv, now, v)
 		return
 	}
+	req := v.pending
 	mv.recovered++
 	s.emit(now, trace.Recovered, mv.setup.Name, v.id, pos, "queued vcr request")
 	s.leavePartition(v)
 	s.k.Cancel(v.finishEv)
 	v.finishEv = noEv
 	v.state = stateVCR
-	v.pending = req
 	v.outcome = vcr.Apply(req, pos, mv.setup.L, s.cfg.Rates)
 	s.emit(now, trace.VCRStart, mv.setup.Name, v.id, pos, fmt.Sprintf("%s amount=%.2f", req.Kind, req.Amount))
-	v.resumeEv = mustSchedule(&s.k, now+v.outcome.Wall, "resume", func(t float64) { s.onResume(mv, t, v) })
+	v.resumeEv = s.schedule(now+v.outcome.Wall, mv, evResume, v.idx)
 }

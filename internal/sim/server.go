@@ -243,7 +243,7 @@ func (s *Server) allocViewer() *viewer {
 }
 
 // releaseScratch returns the viewer slab blocks to the pool, cleared so
-// pooled blocks pin no dead run's closures. Only call once the Server
+// pooled blocks pin no dead run's objects. Only call once the Server
 // and every pointer into its state are dead — Results are safe, they
 // copy. Replicate calls this per finished run.
 func (s *Server) releaseScratch() {
@@ -254,8 +254,10 @@ func (s *Server) releaseScratch() {
 	s.viewerBlocks, s.viewerSlab = nil, nil
 }
 
-// movieState carries one movie's batch machinery and measurements.
+// movieState carries one movie's batch machinery and measurements. It
+// is the receiver of the movie's and its viewers' events (see Fire).
 type movieState struct {
+	srv   *Server
 	setup MovieSetup
 	sched stream.Schedule
 
@@ -345,6 +347,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("%w: movie %q: %v", ErrBadConfig, ms.Name, err)
 		}
 		mv := &movieState{
+			srv:     srv,
 			setup:   ms,
 			sched:   sched,
 			opPos:   opPos,
@@ -437,7 +440,7 @@ func (s *Server) scheduleRestart(mv *movieState, at float64) {
 	if at > s.cfg.Horizon {
 		return
 	}
-	mustSchedule(&s.k, at, "restart", func(now float64) { s.onRestart(mv, now) })
+	s.schedule(at, mv, evRestart, 0)
 }
 
 func (s *Server) onRestart(mv *movieState, now float64) {
@@ -447,7 +450,7 @@ func (s *Server) onRestart(mv *movieState, now float64) {
 	// has priority); when even that fails the restart is skipped and the
 	// queued viewers wait for the next one.
 	slot := s.allocateBatchSlot(now)
-	if slot == nil {
+	if !slot.Held() {
 		s.skippedRestarts++
 		s.emit(now, trace.Blocked, ms.Name, 0, 0, "batch restart denied")
 		s.scheduleRestart(mv, now+ms.period())
@@ -465,7 +468,7 @@ func (s *Server) onRestart(mv *movieState, now float64) {
 		s.k.Halt()
 		return
 	}
-	ap := &activePart{id: s.nextID, part: part, slot: slot}
+	ap := &activePart{id: s.nextID, mv: mv, part: part, slot: slot}
 	s.nextID++
 	mv.parts = append(mv.parts, ap)
 	mv.batchTW.Add(now, 1)
@@ -488,44 +491,40 @@ func (s *Server) onRestart(mv *movieState, now float64) {
 	}
 	mv.waitq = mv.waitq[:0]
 
-	ap.readEndEv = mustSchedule(&s.k, part.ReadEndTime(), "readEnd", func(t float64) {
-		ap.readEndEv = noEv
-		if ap.slot != nil {
-			ap.slot.Release() // the I/O stream is done; the buffer drains on
-			ap.slot = nil
-		}
-		mv.batchTW.Add(t, -1)
-		if s.tracing {
-			s.emit(t, trace.BatchEnd, ms.Name, 0, ms.L, fmt.Sprintf("partition=%d", ap.id))
-		}
-	})
-	ap.expireEv = mustSchedule(&s.k, part.ExpireTime(), "expire", func(t float64) {
-		ap.expireEv = noEv
-		ap.gone = true
-		if s.tracing {
-			s.emit(t, trace.PartitionExpire, ms.Name, 0, ms.L, fmt.Sprintf("partition=%d", ap.id))
-		}
-		if err := s.pool.Release(part.Gross()); err != nil {
-			panic(fmt.Sprintf("sim: pool release failed: %v", err))
-		}
-		for i, p := range mv.parts {
-			if p == ap {
-				mv.parts = append(mv.parts[:i], mv.parts[i+1:]...)
-				break
-			}
-		}
-	})
+	ap.readEndEv = s.schedule(part.ReadEndTime(), ap, evReadEnd, 0)
+	ap.expireEv = s.schedule(part.ExpireTime(), ap, evExpire, 0)
 	s.scheduleRestart(mv, now+ms.period())
 }
 
-// mustSchedule wraps Kernel.ScheduleAt for internally generated times
-// that are never in the past by construction.
-func mustSchedule(k *des.Kernel, at float64, label string, fn func(float64)) des.Handle {
-	e, err := k.ScheduleAt(at, label, fn)
-	if err != nil {
-		panic(fmt.Sprintf("sim: schedule %s: %v", label, err))
+// onReadEnd ends a partition's batch stream: the read is done and the
+// buffer drains on.
+func (s *Server) onReadEnd(ap *activePart, now float64) {
+	mv := ap.mv
+	ap.readEndEv = noEv
+	ap.slot.Release()
+	mv.batchTW.Add(now, -1)
+	if s.tracing {
+		s.emit(now, trace.BatchEnd, mv.setup.Name, 0, mv.setup.L, fmt.Sprintf("partition=%d", ap.id))
 	}
-	return e
+}
+
+// onExpire retires a drained partition and returns its buffer.
+func (s *Server) onExpire(ap *activePart, now float64) {
+	mv := ap.mv
+	ap.expireEv = noEv
+	ap.gone = true
+	if s.tracing {
+		s.emit(now, trace.PartitionExpire, mv.setup.Name, 0, mv.setup.L, fmt.Sprintf("partition=%d", ap.id))
+	}
+	if err := s.pool.Release(ap.part.Gross()); err != nil {
+		panic(fmt.Sprintf("sim: pool release failed: %v", err))
+	}
+	for i, p := range mv.parts {
+		if p == ap {
+			mv.parts = append(mv.parts[:i], mv.parts[i+1:]...)
+			break
+		}
+	}
 }
 
 // --- arrivals ----------------------------------------------------------
@@ -534,13 +533,13 @@ func (s *Server) scheduleArrival(mv *movieState, at float64) {
 	if at > s.cfg.Horizon {
 		return
 	}
-	mustSchedule(&s.k, at, "arrival", func(now float64) { s.onArrival(mv, now) })
+	s.schedule(at, mv, evArrival, 0)
 }
 
 func (s *Server) onArrival(mv *movieState, now float64) {
 	mv.arrivals++
 	v := s.allocViewer()
-	v.id, v.arrived = s.nextID, now
+	v.id, v.arrived, v.idx = s.nextID, now, len(mv.viewers)
 	s.nextID++
 	mv.viewers = append(mv.viewers, v)
 	s.viewersTW.Add(now, 1)
@@ -588,7 +587,7 @@ func (s *Server) joinPartition(mv *movieState, now float64, v *viewer, ap *activ
 	if s.tracing {
 		s.emit(now, trace.Enroll, mv.setup.Name, v.id, pos, fmt.Sprintf("partition=%d lag=%.3f", ap.id, lag))
 	}
-	v.finishEv = mustSchedule(&s.k, now+(mv.setup.L-pos), "finish", func(t float64) { s.onFinish(mv, t, v) })
+	v.finishEv = s.schedule(now+(mv.setup.L-pos), mv, evFinish, v.idx)
 	s.scheduleThink(mv, now, v)
 }
 
@@ -597,11 +596,6 @@ func (s *Server) leavePartition(v *viewer) {
 		v.part.members--
 		v.part = nil
 	}
-}
-
-func (s *Server) onFinish(mv *movieState, now float64, v *viewer) {
-	v.finishEv = noEv
-	s.depart(mv, now, v)
 }
 
 func (s *Server) depart(mv *movieState, now float64, v *viewer) {
@@ -635,9 +629,8 @@ func (s *Server) acquireDedicated(now float64, v *viewer) bool {
 }
 
 func (s *Server) releaseDedicated(now float64, v *viewer) {
-	if v.slot != nil {
+	if v.slot.Held() {
 		v.slot.Release()
-		v.slot = nil
 		s.dedInUse--
 		s.dedicatedTW.Add(now, -1)
 	}
@@ -650,11 +643,10 @@ func (s *Server) scheduleThink(mv *movieState, now float64, v *viewer) {
 		return
 	}
 	think := mv.setup.Profile.SampleThink(s.rng)
-	v.thinkEv = mustSchedule(&s.k, now+think, "think", func(t float64) { s.onThink(mv, t, v) })
+	v.thinkEv = s.schedule(now+think, mv, evThink, v.idx)
 }
 
 func (s *Server) onThink(mv *movieState, now float64, v *viewer) {
-	v.thinkEv = noEv
 	if v.state != stateWatching && v.state != stateDedicated {
 		return
 	}
@@ -672,14 +664,15 @@ func (s *Server) onThink(mv *movieState, now float64, v *viewer) {
 	// already on a dedicated stream keeps it (or releases it to pause).
 	if req.Kind == vcr.PAU {
 		s.releaseDedicated(now, v)
-	} else if v.slot == nil {
+	} else if !v.slot.Held() {
 		if !s.acquireDedicated(now, v) {
 			mv.blockedOps++
 			s.emit(now, trace.Blocked, mv.setup.Name, v.id, pos, "vcr request")
 			if s.cfg.degraded() {
 				// Queue the request: retry the acquisition with exponential
 				// backoff while the viewer keeps watching from his batch.
-				s.scheduleOpRetry(mv, now, v, req, 0)
+				v.pending, v.retries = req, 0
+				s.scheduleOpRetry(mv, now, v)
 			} else {
 				s.scheduleThink(mv, now, v) // request rejected; stay in the batch
 			}
@@ -695,11 +688,10 @@ func (s *Server) onThink(mv *movieState, now float64, v *viewer) {
 	if s.tracing {
 		s.emit(now, trace.VCRStart, mv.setup.Name, v.id, pos, fmt.Sprintf("%s amount=%.2f", req.Kind, req.Amount))
 	}
-	v.resumeEv = mustSchedule(&s.k, now+v.outcome.Wall, "resume", func(t float64) { s.onResume(mv, t, v) })
+	v.resumeEv = s.schedule(now+v.outcome.Wall, mv, evResume, v.idx)
 }
 
 func (s *Server) onResume(mv *movieState, now float64, v *viewer) {
-	v.resumeEv = noEv
 	v.vcrOps++
 	kind := v.pending.Kind
 	out := v.outcome
@@ -731,7 +723,7 @@ func (s *Server) onResume(mv *movieState, now float64, v *viewer) {
 	// Miss: no partition buffer holds the resume position.
 	s.emit(now, trace.ResumeMiss, mv.setup.Name, v.id, out.Pos, kind.String())
 	s.recordResume(mv, now, kind, false)
-	if v.slot == nil { // pause held no stream through phase 1
+	if !v.slot.Held() { // pause held no stream through phase 1
 		if !s.acquireDedicated(now, v) {
 			mv.blockedResumes++
 			s.emit(now, trace.Blocked, mv.setup.Name, v.id, out.Pos, "resume")
@@ -761,11 +753,12 @@ func (s *Server) continueDedicated(mv *movieState, now float64, v *viewer, pos f
 				rate = 1 + s.cfg.slew()
 			}
 			v.str.SetRate(now, rate)
-			v.mergeEv = mustSchedule(&s.k, now+plan.Wall, "merge", func(t float64) { s.onMergeDone(mv, t, v, plan) })
+			v.at = plan.MergePos
+			v.mergeEv = s.schedule(now+plan.Wall, mv, evMerge, v.idx)
 			return
 		}
 	}
-	v.finishEv = mustSchedule(&s.k, now+(mv.setup.L-pos), "dedFinish", func(t float64) { s.onFinish(mv, t, v) })
+	v.finishEv = s.schedule(now+(mv.setup.L-pos), mv, evFinish, v.idx)
 	s.scheduleThink(mv, now, v)
 }
 
@@ -786,14 +779,16 @@ func (s *Server) planMerge(mv *movieState, now, pos float64) (stream.MergePlan, 
 	return stream.PlanMerge(pos, mv.setup.L, gapAhead, gapBehind, s.cfg.slew())
 }
 
-func (s *Server) onMergeDone(mv *movieState, now float64, v *viewer, plan stream.MergePlan) {
-	v.mergeEv = noEv
-	pos := plan.MergePos
+// onMergeDone completes a piggyback merge at the planned position v.at.
+func (s *Server) onMergeDone(mv *movieState, now float64, v *viewer) {
+	pos := v.at
 	if ap := s.coveringPartition(mv, now, pos); ap != nil {
 		if lag, ok := ap.part.LagOf(now, pos); ok {
 			mv.merges++
 			if s.tracing {
-				s.emit(now, trace.MergeDone, mv.setup.Name, v.id, pos, fmt.Sprintf("ahead=%t", plan.Ahead))
+				// The stream slewed faster than display rate to catch up
+				// with a partition ahead of it.
+				s.emit(now, trace.MergeDone, mv.setup.Name, v.id, pos, fmt.Sprintf("ahead=%t", v.str.Rate() > 1))
 			}
 			s.releaseDedicated(now, v)
 			s.joinPartition(mv, now, v, ap, lag)
@@ -804,7 +799,7 @@ func (s *Server) onMergeDone(mv *movieState, now float64, v *viewer, plan stream
 	mv.mergeFails++
 	v.state = stateDedicated
 	v.str.SetRate(now, 1)
-	v.finishEv = mustSchedule(&s.k, now+(mv.setup.L-pos), "dedFinish", func(t float64) { s.onFinish(mv, t, v) })
+	v.finishEv = s.schedule(now+(mv.setup.L-pos), mv, evFinish, v.idx)
 	s.scheduleThink(mv, now, v)
 }
 
@@ -817,11 +812,13 @@ func (s *Server) park(mv *movieState, now float64, v *viewer, pos float64) {
 	if !ok {
 		return // nothing will cover him before the horizon
 	}
-	v.parkEv = mustSchedule(&s.k, at, "unpark", func(t float64) { s.onUnpark(mv, t, v, pos) })
+	v.at = pos
+	v.parkEv = s.schedule(at, mv, evUnpark, v.idx)
 }
 
-func (s *Server) onUnpark(mv *movieState, now float64, v *viewer, pos float64) {
-	v.parkEv = noEv
+// onUnpark retries a parked viewer's resume at his frozen position v.at.
+func (s *Server) onUnpark(mv *movieState, now float64, v *viewer) {
+	pos := v.at
 	if ap := s.coveringPartition(mv, now, pos); ap != nil {
 		if lag, ok := ap.part.LagOf(now, pos); ok {
 			s.joinPartition(mv, now, v, ap, lag)

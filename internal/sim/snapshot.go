@@ -13,9 +13,10 @@ import (
 	"vodalloc/internal/des"
 )
 
-// Checkpoint restore is replay-based. The event queue holds closures
-// over live viewer and partition objects, which Go cannot serialize; but
-// the simulation is deterministic — the seeded RNG plus the schedule
+// Checkpoint restore is replay-based. The event queue's typed events
+// name live movie, viewer and partition objects (and the fault timeline
+// schedules callbacks), none of which a checkpoint serializes; but the
+// simulation is deterministic — the seeded RNG plus the schedule
 // seeded in begin() fully determine the event sequence. A checkpoint
 // therefore records only a boundary (how many events have fired, the
 // virtual clock, and a digest of the observable mutable state), and
@@ -122,7 +123,7 @@ func (c Checkpoint) Verify(replayed Checkpoint) error {
 // are hashed by their bit patterns, so the comparison is exact, not
 // approximate. Anything the event callbacks mutate and the result
 // collection reads should be visible here — a divergence in hidden
-// state (RNG, event closures) surfaces through these counters within a
+// state (RNG, pending events) surfaces through these counters within a
 // few events.
 func (s *Server) digest() uint64 {
 	h := fnv.New64a()

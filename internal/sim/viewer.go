@@ -64,18 +64,26 @@ type viewer struct {
 	id      uint64
 	arrived float64
 	state   viewerState
+	// idx is the viewer's index in its movie's viewers: the operand of
+	// its typed events.
+	idx int
 
 	// Watching state: membership of a batch partition.
 	part *activePart
 	lag  float64
 
-	// Dedicated/merging state: a private playback stream.
-	str  *stream.Stream
-	slot *disk.Slot
+	// Dedicated/merging state: a private playback stream and the I/O
+	// slot carrying it, both held by value.
+	str  stream.Stream
+	slot disk.Slot
 
-	// In-flight VCR operation.
+	// pending is the VCR request in flight (stateVCR), or queued for a
+	// backoff retry while opRetryEv is pending; outcome is its effect.
 	pending vcr.Request
 	outcome vcr.Outcome
+	// at is the movie position the viewer's pending merge, unpark or
+	// degraded retry acts at.
+	at float64
 
 	// Cancellable scheduled events.
 	finishEv, thinkEv, resumeEv, mergeEv, parkEv des.Handle
@@ -83,7 +91,9 @@ type viewer struct {
 	// (degraded mode; the viewer stays watching meanwhile).
 	opRetryEv des.Handle
 
-	// retries counts backoff attempts of the current degraded episode.
+	// retries counts backoff attempts of the current retry chain: a
+	// degraded episode's, or a queued VCR request's. The two never
+	// overlap — a queued request waits in stateWatching.
 	retries int
 
 	// vcrOps counts completed VCR operations, for behaviour stats.
@@ -119,14 +129,16 @@ func (v *viewer) cancelTimers(k *des.Kernel) {
 }
 
 // activePart is a live batch stream with its buffer partition, disk
-// bookkeeping, and member count.
+// bookkeeping, and member count. It is the receiver of its own
+// lifecycle events (see Fire).
 type activePart struct {
 	id      uint64
+	mv      *movieState
 	part    *buffer.Partition
 	members int
 	// slot is the batch stream's I/O slot, held from restart until the
-	// read completes (nil afterwards, and during the drain phase).
-	slot *disk.Slot
+	// read completes (zero afterwards, and during the drain phase).
+	slot disk.Slot
 	// readEndEv and expireEv are the partition's lifecycle events, kept
 	// so fault injection can kill a partition early.
 	readEndEv, expireEv des.Handle

@@ -3,6 +3,7 @@ package sizing
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,33 +68,57 @@ func TestEvaluatorCtxPreCanceled(t *testing.T) {
 	}
 }
 
+// cancelingDur is a duration distribution whose CDF cancels a context
+// on its k-th call, counted across every copy and goroutine: planning
+// against it is canceled mid-sweep by construction, however fast the
+// sweep runs. The counter sits behind a pointer, so the evaluator's
+// cache fingerprint (%+v) prints an address and never reads it.
+type cancelingDur struct {
+	dist.Distribution
+	at *cancelAt
+}
+
+type cancelAt struct {
+	calls  atomic.Int64
+	k      int64
+	cancel context.CancelFunc
+}
+
+func (d cancelingDur) CDF(x float64) float64 {
+	if d.at.calls.Add(1) == d.at.k {
+		d.at.cancel()
+	}
+	return d.Distribution.CDF(x)
+}
+
 // TestEvaluatorCtxConcurrentCancel verifies a cancellation arriving
 // mid-search stops the evaluator promptly: the call must return the
 // context error well before the uncanceled search would finish.
 func TestEvaluatorCtxConcurrentCancel(t *testing.T) {
 	e := &Evaluator{Workers: 2}
-	// A catalog big enough that planning takes well over the cancel
-	// delay; distinct names and lengths defeat the memo cache.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	// The cancel fires on the 50,000th CDF call: a few model
+	// evaluations into a 16-movie plan that makes millions. Distinct
+	// names and lengths defeat the memo cache.
+	dur := cancelingDur{Distribution: dist.MustExponential(5), at: &cancelAt{k: 50_000, cancel: cancel}}
 	var movies []workload.Movie
 	for i := 0; i < 16; i++ {
-		movies = append(movies, ctxMovie(string(rune('a'+i)), 100+float64(i)))
+		m := ctxMovie(string(rune('a'+i)), 100+float64(i))
+		m.Profile = workload.MixedProfile(dur, dist.MustExponential(15))
+		movies = append(movies, m)
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
 	start := time.Now()
 	_, err := e.MinBufferPlanCtx(ctx, movies, DefaultRates, 0, 0)
 	elapsed := time.Since(start)
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled (finished in %v?)", err, elapsed)
+		t.Fatalf("err = %v, want context.Canceled (finished in %v after %d CDF calls?)", err, elapsed, dur.at.calls.Load())
 	}
 	// The promptness contract: return within one model evaluation of the
 	// cancel. One evaluation is milliseconds; 500ms is generous enough
 	// for slow CI machines while still far below the full search time.
 	if elapsed > 500*time.Millisecond {
-		t.Errorf("returned %v after start; want prompt return after the 10ms cancel", elapsed)
+		t.Errorf("returned %v after start; want prompt return after the mid-sweep cancel", elapsed)
 	}
 }

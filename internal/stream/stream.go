@@ -25,9 +25,10 @@ type Stream struct {
 	rate     float64
 }
 
-// New creates a stream at startPos advancing at rate from startTime.
-func New(id uint64, startTime, startPos, rate float64) *Stream {
-	return &Stream{id: id, baseTime: startTime, basePos: startPos, rate: rate}
+// New creates a stream at startPos advancing at rate from startTime. A
+// Stream is a value; its holder keeps it in place and allocates nothing.
+func New(id uint64, startTime, startPos, rate float64) Stream {
+	return Stream{id: id, baseTime: startTime, basePos: startPos, rate: rate}
 }
 
 // ID returns the stream identifier.

@@ -99,19 +99,19 @@ run_stage() {
 }
 
 # The single run finishes in ~0.6s with its first state checkpoint on
-# disk by ~0.1s; the replication sweep takes 1.0–1.2s journaling items
+# disk by ~0.1s; the replication sweep takes 1.1–1.4s journaling items
 # throughout. Windows cover the checkpointed middle of each.
 run_stage single 0.15 0.5 "$tmp/vodsim" -l 120 -b 60 -n 30 -lambda 0.5 \
-    -horizon 100000 -warmup 500 -seed 7 -compare=false -checkpoint-every 10000
+    -horizon 150000 -warmup 500 -seed 7 -compare=false -checkpoint-every 10000
 run_stage sweep 0.25 0.9 "$tmp/vodsim" -l 120 -b 60 -n 30 -lambda 0.5 \
-    -horizon 25000 -warmup 500 -seed 7 -compare=false -replications 16
-# The fluid run (~1.5s, ~2.4M particle/restart events) carries ~2.4M
-# concurrent viewers on the fluid backend; checkpoints land every
-# ~0.05s from the start, so any kill inside the window finds one.
+    -horizon 40000 -warmup 500 -seed 7 -compare=false -replications 16
+# The fluid run (~2s, ~3.2M particle/restart events) carries ~2.4M
+# concurrent viewers on the fluid backend; checkpoints land every ~0.1s
+# from the start, so any kill inside the window finds one.
 # Resume must rebuild cohort ledgers, the particle census and the
 # residency EWMA bit-identically through event replay.
 run_stage fluid 0.3 1.1 "$tmp/vodsim" -l 120 -b 30 -n 30 -lambda 20000 \
-    -engine fluid -horizon 150000 -warmup 500 -seed 7 -compare=false \
+    -engine fluid -horizon 200000 -warmup 500 -seed 7 -compare=false \
     -checkpoint-every 150000
 # -parallel 1 serializes the per-node sims so journaled rows spread
 # over ~2.3s of wall clock instead of landing nearly at once; the kill
@@ -120,7 +120,7 @@ run_stage fluid 0.3 1.1 "$tmp/vodsim" -l 120 -b 30 -n 30 -lambda 20000 \
 # recalibrate the horizon if the sweep gets materially faster or
 # slower).
 run_stage cluster 1.0 1.9 "$tmp/vodcluster" sweep -min-nodes 2 -max-nodes 5 \
-    -lambda 1.5 -horizon 24000 -warmup 600 -seed 7 -parallel 1
+    -lambda 1.5 -horizon 36000 -warmup 600 -seed 7 -parallel 1
 # The churn run (240000 sim-minutes, a 4× flash at t=80000) finishes in
 # ~2.4s uninterrupted on a 2-core host, longer with -resume, writing
 # replay checkpoints every 2000 events from early in the run; a kill in
@@ -129,12 +129,12 @@ run_stage churn 0.4 1.4 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -flash "m01@80000:4" \
     -budget-mb 40000 -horizon 240000 -warmup 500 -seed 7 -interval 10 \
     -checkpoint-every 2000
-# The gray run (~0.15s sizing, then 200000 sim-minutes: ~3s
+# The gray run (~0.15s sizing, then 260000 sim-minutes: ~3.5s
 # uninterrupted on a 2-core host, longer with -resume) keeps node0 slow
 # over 25–75% and node2 browned out over 35–80% of the horizon; the
-# -resume run reaches t≈92000 at 2.0s and t≈132000 at 2.9s (under
-# load the same host ran at half that pace: t≈48000 at 1.8s), so a kill
-# in [2.0, 2.9]s lands
+# -resume run reaches t≈120000–130000 at 2.0s and t≈135000–160000 at
+# 2.9s (under load a host can run at half that pace), so a kill in
+# [2.0, 2.9]s lands
 # while the hedged router holds live quarantine state — resume must
 # reconstruct health scores, sorted sample windows, hedge counters and
 # quarantine streaks bit-identically. If the run's speed moves, rescale
@@ -142,19 +142,19 @@ run_stage churn 0.4 1.4 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
 # inside the faults.
 run_stage gray 2.0 2.9 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -controller=false -gray "slow:node0@50000-150000:12,brownout:node2@70000-160000:0.4" \
-    -policy hedge -horizon 200000 -warmup 500 -seed 7 -checkpoint-every 2000
-# The evacuate run (~3.5s uninterrupted; same sizing profile as gray)
+    -controller=false -gray "slow:node0@65000-195000:12,brownout:node2@91000-208000:0.4" \
+    -policy hedge -horizon 260000 -warmup 500 -seed 7 -checkpoint-every 2000
+# The evacuate run (~4s uninterrupted; same sizing profile as gray)
 # arms the controller with a 10-minute evacuation dwell: node0
-# quarantines just past t=50000 and its replicas drain shortly after;
-# the -resume run is at t≈80000 by 2.0s and t≈105000 by 2.9s, so a kill
-# in [2.0, 2.9]s lands while node0 sits quarantined and evacuated —
-# resume must reconstruct the evacuation ledger, drain migrations and
+# quarantines just past t=65000 and its replicas drain shortly after;
+# the -resume run is at t≈90000 by 2.0s and t≈125000–155000 by 2.9s, so
+# a kill in [2.0, 2.9]s lands while node0 sits quarantined and evacuated
+# — resume must reconstruct the evacuation ledger, drain migrations and
 # health state bit-identically.
 run_stage evacuate 2.0 2.9 "$tmp/vodcluster" churn -nodes 4 -movies 6 \
     -node-streams 400 -node-buffer 200 -lambda 6 -replicas 2 \
-    -gray "slow:node0@50000-150000:12" -policy hedge -evacuate-dwell 10 \
-    -interval 10 -budget-mb 200000 -horizon 200000 -warmup 500 -seed 7 \
+    -gray "slow:node0@65000-195000:12" -policy hedge -evacuate-dwell 10 \
+    -interval 10 -budget-mb 200000 -horizon 260000 -warmup 500 -seed 7 \
     -checkpoint-every 2000
 
 echo "killresume: all stages passed"
