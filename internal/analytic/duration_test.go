@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"vodalloc/internal/dist"
@@ -116,5 +117,32 @@ func TestClosedFormHSelection(t *testing.T) {
 		if got := newDurFn(c.d, 120).H != nil; got != c.want {
 			t.Errorf("%T%+v: closed-form H %v, want %v", c.d, c.d, got, c.want)
 		}
+	}
+}
+
+// TestDurationCacheDiesWithItsModel pins the duration functionals'
+// lifetime: they are cached per model and collected with it, so a
+// long-running service that evaluates ever new movie lengths keeps no
+// garbage. A few hundred models at distinct L with a lognormal
+// duration, each building its 8,193-point G grid, must leave the heap
+// after GC within a few MB of where it started.
+func TestDurationCacheDiesWithItsModel(t *testing.T) {
+	d := dist.MustLognormal(1, 1.2)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	const models = 300
+	for i := 0; i < models; i++ {
+		m := MustNew(Config{L: 60 + float64(i)/4, B: 10, N: 10, RatePB: 1, RateFF: 3, RateRW: 3})
+		if h := m.HitFF(d); !(h >= 0 && h <= 1) {
+			t.Fatalf("L=%v: P(hit|FF) = %v", 60+float64(i)/4, h)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grew := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("heap grew %.2f MB over %d models", float64(grew)/(1<<20), models)
+	if grew > 8<<20 {
+		t.Fatalf("heap grew %.1f MB over %d models, %.0f KB each", float64(grew)/(1<<20), models, float64(grew)/models/1024)
 	}
 }

@@ -116,25 +116,10 @@ func (o Op) String() string {
 	}
 }
 
-// durKey keys the process-wide durFn cache. The functionals depend only
-// on the distribution value and the movie length, so they are shareable
-// across Model instances.
-type durKey struct {
-	d dist.Distribution
-	l float64
-}
-
-// globalDurCache shares built durFns across Models: a sizing sweep
-// constructs one Model per (B, n) candidate but evaluates the same
-// handful of duration distributions at the same L throughout, and the
-// grid-fallback families are expensive to rebuild per point.
-var globalDurCache sync.Map
-
 // durFnFor returns the cached (F, G) pair for d, building and memoizing
-// it on first use — first in the model-local map, then in the
-// process-wide (distribution, L) cache. Distributions whose dynamic type
-// is not comparable (mixtures, empirical data) bypass both caches — the
-// maps would panic on them — and rebuild per call as before.
+// it in the model's cache on first use. Distributions whose dynamic
+// type is not comparable (mixtures, empirical data) bypass the cache —
+// the map would panic on them — and rebuild per call.
 func (m *Model) durFnFor(d dist.Distribution) durFn {
 	if m.durCache == nil || !reflect.TypeOf(d).Comparable() {
 		return newDurFn(d, m.cfg.L)
@@ -142,14 +127,8 @@ func (m *Model) durFnFor(d dist.Distribution) durFn {
 	if v, ok := m.durCache.Load(d); ok {
 		return v.(durFn)
 	}
-	k := durKey{d: d, l: m.cfg.L}
-	v, ok := globalDurCache.Load(k)
-	if !ok {
-		v, _ = globalDurCache.LoadOrStore(k, newDurFn(d, m.cfg.L))
-	}
-	f := v.(durFn)
-	m.durCache.Store(d, f)
-	return f
+	v, _ := m.durCache.LoadOrStore(d, newDurFn(d, m.cfg.L))
+	return v.(durFn)
 }
 
 // ivSpec describes, for one candidate partition index i and offset u,

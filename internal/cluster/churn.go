@@ -289,7 +289,7 @@ type churnRun struct {
 	router   *Router
 	ctrl     *Controller // nil when ControllerOff
 	movies   []workload.Movie
-	alloc    map[string]MovieAlloc
+	alloc    []MovieAlloc // primary allocations by catalog position, shared with ctrl
 	rngs     []*rand.Rand
 	rates    []float64
 	k        horizonKernel
@@ -357,7 +357,7 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		cfg:         cfg,
 		router:      router,
 		movies:      cfg.Workload.Movies,
-		alloc:       make(map[string]MovieAlloc, len(cfg.Workload.Movies)),
+		alloc:       primaryAllocs(cfg.Placement, cfg.Workload.Movies),
 		rngs:        make([]*rand.Rand, len(cfg.Workload.Movies)),
 		rates:       make([]float64, len(cfg.Workload.Movies)),
 		k:           horizonKernel{horizon: cfg.Horizon},
@@ -366,14 +366,9 @@ func newChurnRun(cfg ChurnConfig) (*churnRun, error) {
 		convergedAt: -1,
 	}
 	if !cfg.ControllerOff {
-		r.ctrl, err = NewController(cfg.Controller, cfg.Placement, r.movies, router)
+		r.ctrl, err = newController(cfg.Controller, cfg.Placement, r.movies, router, r.alloc)
 		if err != nil {
 			return nil, err
-		}
-	}
-	for _, a := range cfg.Placement.Assignments {
-		if a.Replica == 0 {
-			r.alloc[a.Movie] = a.MovieAlloc
 		}
 	}
 	for i, f := range cfg.Faults {
@@ -478,7 +473,8 @@ func (r *churnRun) winFor(t float64) *churnWinAcc {
 	return &r.wins[wi]
 }
 
-// setNodeDown applies one outage edge to the router and the controller.
+// setNodeDown applies one outage edge to the router, and lets the
+// controller abort the migrations a downed node breaks.
 func (r *churnRun) setNodeDown(node string, down bool) {
 	if err := r.router.SetNodeDown(node, down); err != nil {
 		r.k.fail(err)
@@ -579,7 +575,7 @@ func (r *churnRun) arrival(i, epoch int, now float64) {
 	// Contention-aware hit: a replica carrying more live viewers than its
 	// pre-allocated streams dilutes its buffer hit rate proportionally —
 	// the paper's sizing holds at or under N.
-	hit := r.alloc[name].Hit
+	hit := r.alloc[i].Hit
 	if d.Live > d.AllocN && d.AllocN > 0 {
 		hit *= float64(d.AllocN) / float64(d.Live)
 	}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"vodalloc/internal/sim"
@@ -16,16 +15,14 @@ import (
 // otherwise pass unnoticed.
 func routerBooks(r *Router) error {
 	byNode := make([]int, len(r.ids))
-	for key, n := range r.liveBy {
-		movie, node, _ := strings.Cut(key, "\x00")
-		i, ok := r.node[node]
-		if !ok {
-			return fmt.Errorf("liveBy[%q/%q] names an unknown node", movie, node)
+	for m, movie := range r.names {
+		for i, node := range r.ids {
+			n := *r.viewers(m, i)
+			if n < 0 {
+				return fmt.Errorf("live viewers of %q on %q = %d", movie, node, n)
+			}
+			byNode[i] += n
 		}
-		if n < 0 {
-			return fmt.Errorf("liveBy[%q/%q] = %d", movie, node, n)
-		}
-		byNode[i] += n
 	}
 	for i, id := range r.ids {
 		if r.live[i] < 0 || r.live[i] != byNode[i] {

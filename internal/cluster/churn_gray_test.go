@@ -175,9 +175,9 @@ func TestChurnGrayIdentity(t *testing.T) {
 	}
 	tweaked := grayScenario(t, PolicyBlind)
 	tweaked.Gray = nil
-	tweaked.Health.Window = 128 // inert without gray machinery
+	tweaked.Health.HedgeBudget = 2 // inert without gray machinery
 	if plain.Identity() == tweaked.Identity() {
-		t.Error("identity ignores an inert Health.Window")
+		t.Error("identity ignores an inert Health.HedgeBudget")
 	}
 	tweaked = grayScenario(t, PolicyBlind)
 	tweaked.Gray = nil
@@ -438,7 +438,7 @@ func TestChurnGrayValidate(t *testing.T) {
 		t.Error("infinite starve wait validated")
 	}
 	bad = grayScenario(t, PolicyHedge)
-	bad.Health.Window = 2
+	bad.Health.HedgeBudget = -1
 	if err := bad.Validate(); err == nil {
 		t.Error("bad health config validated")
 	}

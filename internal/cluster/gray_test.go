@@ -149,14 +149,9 @@ func TestHealthConfigValidate(t *testing.T) {
 		t.Errorf("zero config (all defaults): %v", err)
 	}
 	bad := []HealthConfig{
-		{Window: 2},
-		{Window: 1 << 20},
-		{HedgeQuantile: -0.5},
-		{SuspectAfter: -1},
-		{ProbeEvery: -2},
-		{ProbationAfter: math.Inf(1)},
-		{HedgeMin: math.Inf(1)},
-		{HedgeWarm: -1},
+		{HedgeBudget: -1},
+		{HedgeBudget: math.NaN()},
+		{HedgeBudget: math.Inf(1)},
 	}
 	for i, hc := range bad {
 		if err := hc.Validate(); err == nil {

@@ -19,15 +19,15 @@ import (
 //
 // Scores drive a four-state machine with hysteresis:
 //
-//	Healthy → Suspect       score below suspectBelow for SuspectAfter
+//	Healthy → Suspect       score below suspectBelow for suspectAfter
 //	                        consecutive observations
 //	Suspect → Quarantined   score below quarantineBelow for
-//	                        QuarantineAfter more observations (guarded:
+//	                        quarantineAfter more observations (guarded:
 //	                        never strands a movie with no routable host)
-//	Suspect → Healthy       score above restoreAbove for RestoreTicks
-//	Quarantined → Probation after ProbationAfter minutes of dwell; the
+//	Suspect → Healthy       score above restoreAbove for restoreAfter
+//	Quarantined → Probation after probationAfter minutes of dwell; the
 //	                        tracker resets so probes are judged fresh
-//	Probation → Healthy     ProbeOK consecutive good probes
+//	Probation → Healthy     probeOK consecutive good probes
 //	Probation → Quarantined one bad probe (dwell restarts)
 //
 // Entering and leaving use different thresholds and consecutive-streak
@@ -81,32 +81,29 @@ const (
 	// hedgeRefill is the hedge token bucket's refill per routing
 	// decision, before scaling by fleet-wide health.
 	hedgeRefill = 0.25
+	// healthWindow is the per-node (and per-disk) recent-sample ring
+	// size; the hedge deadline's window holds four times as many.
+	healthWindow = 64
+	// suspectAfter, quarantineAfter and restoreAfter are the
+	// consecutive-observation streaks the machine's transitions require.
+	suspectAfter, quarantineAfter, restoreAfter = 6, 10, 8
+	// probationAfter is the quarantine dwell, simulated minutes, before
+	// probing begins.
+	probationAfter = 30.0
+	// probeEvery routes every Nth eligible request to a Probation node
+	// (or disk) as a probe; probeOK consecutive good probes restore it.
+	probeEvery, probeOK = 8, 4
+	// hedgeQuantile is the observed-wait percentile used as the hedging
+	// deadline, hedgeMin the deadline's floor in wait units, and
+	// hedgeWarm how many waits must be observed before hedging arms.
+	hedgeQuantile, hedgeMin, hedgeWarm = 0.95, 4.0, 64
 )
 
-// HealthConfig tunes the health scorer's window, the quarantine
-// machine's streaks and dwell, and hedged dispatch. The zero value
-// means "all defaults".
+// HealthConfig selects the gray-resilience options a run may vary: the
+// hedge budget and disk-granular health. The scorer, the quarantine
+// machine and the hedge deadline run on fixed tuning (the constants
+// above). The zero value is unlimited hedging at node granularity.
 type HealthConfig struct {
-	// Window is the per-node recent-sample ring size (0 = 64).
-	Window int
-	// SuspectAfter / QuarantineAfter / RestoreTicks are the
-	// consecutive-observation streaks the transitions require
-	// (0 = 6 / 10 / 8).
-	SuspectAfter, QuarantineAfter, RestoreTicks int
-	// ProbationAfter is the quarantine dwell in simulated minutes before
-	// probing begins (0 = 30).
-	ProbationAfter float64
-	// ProbeEvery routes every Nth eligible request to a Probation node
-	// as a probe (0 = 8); ProbeOK consecutive good probes restore it
-	// (0 = 4).
-	ProbeEvery, ProbeOK int
-	// HedgeQuantile is the observed-wait percentile used as the hedging
-	// deadline (0 = 0.95); HedgeMin floors the deadline in wait units
-	// (0 = 4); HedgeWarm is how many waits must be observed before
-	// hedging arms (0 = 64).
-	HedgeQuantile float64
-	HedgeMin      float64
-	HedgeWarm     int
 	// HedgeBudget caps hedge volume with a token bucket of this burst
 	// capacity (0 = unlimited, the pre-budget behavior). Each hedge
 	// spends one token; the bucket refills by hedgeRefill tokens per
@@ -124,50 +121,11 @@ type HealthConfig struct {
 	DiskHealth bool
 }
 
-func defF(v, d float64) float64 {
-	if v != 0 {
-		return v
-	}
-	return d
-}
-
-func defI(v, d int) int {
-	if v != 0 {
-		return v
-	}
-	return d
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	c.Window = defI(c.Window, 64)
-	c.SuspectAfter = defI(c.SuspectAfter, 6)
-	c.QuarantineAfter = defI(c.QuarantineAfter, 10)
-	c.RestoreTicks = defI(c.RestoreTicks, 8)
-	c.ProbationAfter = defF(c.ProbationAfter, 30)
-	c.ProbeEvery = defI(c.ProbeEvery, 8)
-	c.ProbeOK = defI(c.ProbeOK, 4)
-	c.HedgeQuantile = defF(c.HedgeQuantile, 0.95)
-	c.HedgeMin = defF(c.HedgeMin, 4)
-	c.HedgeWarm = defI(c.HedgeWarm, 64)
-	return c
-}
-
-// Validate checks the configuration (after defaults).
+// Validate checks the configuration: the hedge budget must be a finite
+// non-negative number.
 func (c HealthConfig) Validate() error {
-	d := c.withDefaults()
-	switch {
-	case d.Window < 4 || d.Window > 4096:
-		return fmt.Errorf("%w: health window %d", ErrBadCluster, d.Window)
-	case !(d.HedgeQuantile > 0 && d.HedgeQuantile < 1):
-		return fmt.Errorf("%w: hedge quantile %v", ErrBadCluster, d.HedgeQuantile)
-	case d.SuspectAfter < 1 || d.QuarantineAfter < 1 || d.RestoreTicks < 1 || d.ProbeEvery < 1 || d.ProbeOK < 1:
-		return fmt.Errorf("%w: health streaks must be >= 1", ErrBadCluster)
-	case !(d.ProbationAfter > 0) || math.IsInf(d.ProbationAfter, 0):
-		return fmt.Errorf("%w: probation dwell %v", ErrBadCluster, d.ProbationAfter)
-	case !(d.HedgeMin > 0) || math.IsInf(d.HedgeMin, 0) || d.HedgeWarm < 1:
-		return fmt.Errorf("%w: hedge floor %v / warm %d", ErrBadCluster, d.HedgeMin, d.HedgeWarm)
-	case d.HedgeBudget < 0 || math.IsNaN(d.HedgeBudget) || math.IsInf(d.HedgeBudget, 0):
-		return fmt.Errorf("%w: hedge budget %v", ErrBadCluster, d.HedgeBudget)
+	if c.HedgeBudget < 0 || math.IsNaN(c.HedgeBudget) || math.IsInf(c.HedgeBudget, 0) {
+		return fmt.Errorf("%w: hedge budget %v", ErrBadCluster, c.HedgeBudget)
 	}
 	return nil
 }

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 )
 
@@ -30,19 +30,27 @@ type RouterStats struct {
 type Router struct {
 	mu   sync.Mutex
 	rng  *rand.Rand
-	ids  []string         // node index → ID
-	node map[string]int   // node ID → index
-	host map[string][]int // movie → host node indexes in replica order
-	cap  map[string][]int // movie → per-host placed streams, same order
+	ids  []string       // node index → ID
+	node map[string]int // node ID → index
 	down []bool
 	live []int // in-flight requests per node
+
+	// The replica table: the cluster's one record of where every placed
+	// movie's copies live, which the controller and the churn engine
+	// read under mu. Movies are numbered in sorted-name order (the
+	// digest's order). replicas[m] lists movie m's copies in replica
+	// order, the primary first. liveBy[m*len(ids)+i] counts movie m's
+	// in-flight viewers on node i; it outlives the replica, so a viewer
+	// on a removed copy still releases against it and a re-added copy
+	// resumes the count.
+	movie    map[string]int // movie name → index
+	names    []string       // movie index → name
+	replicas [][]replica
+	liveBy   []int
 
 	// maxStreams is each node's stream capacity: a host whose live load
 	// has reached it drops out of the draw (see nodeFullLocked).
 	maxStreams []int
-	// liveBy tracks in-flight viewers per (movie, node) replica, for the
-	// contention-aware hit accounting of the churn simulator.
-	liveBy map[string]int
 
 	stats RouterStats
 
@@ -72,6 +80,10 @@ type Router struct {
 	hedgeTokens float64
 }
 
+// replica is one placed copy of a movie: its host node's index and the
+// streams pre-allocated to it there.
+type replica struct{ node, n int }
+
 // NewRouter builds a router over the placement, seeded for
 // reproducibility.
 func NewRouter(p Placement, seed int64) (*Router, error) {
@@ -82,14 +94,11 @@ func NewRouter(p Placement, seed int64) (*Router, error) {
 		rng:        rand.New(rand.NewSource(seed)),
 		ids:        make([]string, len(p.Nodes)),
 		node:       make(map[string]int, len(p.Nodes)),
-		host:       make(map[string][]int),
-		cap:        make(map[string][]int),
 		down:       make([]bool, len(p.Nodes)),
 		live:       make([]int, len(p.Nodes)),
+		movie:      make(map[string]int),
 		maxStreams: make([]int, len(p.Nodes)),
-		liveBy:     make(map[string]int),
 	}
-	r.hcfg = HealthConfig{}.withDefaults()
 	r.health = make([]nodeHealth, len(p.Nodes))
 	r.disks = make([]int, len(p.Nodes))
 	for i, n := range p.Nodes {
@@ -98,17 +107,54 @@ func NewRouter(p Placement, seed int64) (*Router, error) {
 		r.maxStreams[i] = n.MaxStreams
 		r.disks[i] = n.disks()
 	}
-	seenMovie := map[string]bool{}
 	for _, a := range p.Assignments {
-		seenMovie[a.Movie] = true
+		r.names = append(r.names, a.Movie)
 	}
-	for m := range seenMovie {
-		for _, a := range p.Replicas(m) {
-			r.host[m] = append(r.host[m], r.node[a.Node])
-			r.cap[m] = append(r.cap[m], a.N)
+	slices.Sort(r.names)
+	r.names = slices.Compact(r.names)
+	r.replicas = make([][]replica, len(r.names))
+	r.liveBy = make([]int, len(r.names)*len(p.Nodes))
+	for m, name := range r.names {
+		r.movie[name] = m
+		for _, a := range p.Replicas(name) {
+			r.replicas[m] = append(r.replicas[m], replica{node: r.node[a.Node], n: a.N})
 		}
 	}
 	return r, nil
+}
+
+// viewers is movie m's live-viewer count on node i. Lock held.
+func (r *Router) viewers(m, i int) *int { return &r.liveBy[m*len(r.ids)+i] }
+
+// replicaAt is node i's position among movie m's replicas, or -1 when
+// the node hosts none. Lock held.
+func (r *Router) replicaAt(m, i int) int {
+	for k, rep := range r.replicas[m] {
+		if rep.node == i {
+			return k
+		}
+	}
+	return -1
+}
+
+// routableLocked reports whether node i can serve at all: up and not
+// quarantined. Lock held.
+func (r *Router) routableLocked(i int) bool {
+	return !r.down[i] && r.health[i].state != Quarantined
+}
+
+// replicaArgs resolves the (movie, node) pair of a replica operation:
+// an unknown node is an ErrBadCluster, an unknown movie ErrUnknownMovie.
+func (r *Router) replicaArgs(movie, node string) (m, i int, err error) {
+	i, ok := r.node[node]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: unknown node %q", ErrBadCluster, node)
+	}
+	m, ok = r.movie[movie]
+	if !ok {
+		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
+	}
+	return m, i, nil
 }
 
 // SetNodeDown marks a node down (true) or back up (false).
@@ -128,30 +174,30 @@ func (r *Router) SetNodeDown(id string, down bool) error {
 // quarantined and not full — weighted by placed streams over 1 + live
 // load, times the health score squared unless the policy is blind.
 // Probation hosts serve only as a fallback when nothing healthier is
-// routable. It returns indexes into hosts, their weights and the
-// weights' sum; with no candidate it counts a shed and returns
+// routable. It returns indexes into the movie's replicas, their
+// weights and the weights' sum; with no candidate it counts a shed and returns
 // ErrSaturated when some host is alive but full, ErrUnavailable
 // otherwise.
-func (r *Router) candidatesLocked(movie string, hosts []int) (up []int, wts []float64, total float64, err error) {
+func (r *Router) candidatesLocked(m int) (up []int, wts []float64, total float64, err error) {
 	var (
 		upP   []int
 		wtsP  []float64
 		totP  float64
 		alive bool
 	)
-	caps := r.cap[movie]
-	for k, n := range hosts {
+	for k, rep := range r.replicas[m] {
+		n := rep.node
 		// A Quarantined host is deliberately out of service: it neither
 		// takes traffic nor counts as alive (shedding with no routable
 		// host is typed ErrUnavailable, not ErrSaturated).
-		if r.down[n] || r.health[n].state == Quarantined {
+		if !r.routableLocked(n) {
 			continue
 		}
 		alive = true
 		if r.nodeFullLocked(n) {
 			continue
 		}
-		w := float64(caps[k]) / float64(1+r.live[n])
+		w := float64(rep.n) / float64(1+r.live[n])
 		if r.policy != PolicyBlind {
 			s := r.scoreLocked(n)
 			w *= s * s
@@ -172,9 +218,9 @@ func (r *Router) candidatesLocked(movie string, hosts []int) (up []int, wts []fl
 	if len(up) == 0 {
 		r.stats.Sheds++
 		if alive {
-			return nil, nil, 0, fmt.Errorf("%w: %q", ErrSaturated, movie)
+			return nil, nil, 0, fmt.Errorf("%w: %q", ErrSaturated, r.names[m])
 		}
-		return nil, nil, 0, fmt.Errorf("%w: %q", ErrUnavailable, movie)
+		return nil, nil, 0, fmt.Errorf("%w: %q", ErrUnavailable, r.names[m])
 	}
 	return up, wts, total, nil
 }
@@ -224,24 +270,16 @@ var ErrSaturated = errors.New("cluster: every live replica host is saturated")
 func (r *Router) AddReplica(movie, node string, n int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return fmt.Errorf("%w: unknown node %q", ErrBadCluster, node)
-	}
-	hosts, ok := r.host[movie]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
-	}
-	if n < 1 {
+	m, i, err := r.replicaArgs(movie, node)
+	switch {
+	case err != nil:
+		return err
+	case n < 1:
 		return fmt.Errorf("%w: replica capacity %d", ErrBadCluster, n)
+	case r.replicaAt(m, i) >= 0:
+		return fmt.Errorf("%w: movie %q already has a replica on node %q", ErrBadCluster, movie, node)
 	}
-	for _, h := range hosts {
-		if h == i {
-			return fmt.Errorf("%w: movie %q already has a replica on node %q", ErrBadCluster, movie, node)
-		}
-	}
-	r.host[movie] = append(hosts, i)
-	r.cap[movie] = append(r.cap[movie], n)
+	r.replicas[m] = append(r.replicas[m], replica{node: i, n: n})
 	return nil
 }
 
@@ -252,27 +290,19 @@ func (r *Router) AddReplica(movie, node string, n int) error {
 func (r *Router) RemoveReplica(movie, node string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return fmt.Errorf("%w: unknown node %q", ErrBadCluster, node)
+	m, i, err := r.replicaArgs(movie, node)
+	if err != nil {
+		return err
 	}
-	hosts, ok := r.host[movie]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
-	}
-	for k, h := range hosts {
-		if h != i {
-			continue
-		}
-		if k == 0 {
-			return fmt.Errorf("%w: cannot remove the primary replica of %q", ErrBadCluster, movie)
-		}
-		r.host[movie] = append(hosts[:k:k], hosts[k+1:]...)
-		caps := r.cap[movie]
-		r.cap[movie] = append(caps[:k:k], caps[k+1:]...)
+	switch k := r.replicaAt(m, i); k {
+	case -1:
+		return fmt.Errorf("%w: movie %q has no replica on node %q", ErrBadCluster, movie, node)
+	case 0:
+		return fmt.Errorf("%w: cannot remove the primary replica of %q", ErrBadCluster, movie)
+	default:
+		r.replicas[m] = slices.Delete(r.replicas[m], k, k+1)
 		return nil
 	}
-	return fmt.Errorf("%w: movie %q has no replica on node %q", ErrBadCluster, movie, node)
 }
 
 // EvacuateReplica removes the movie's replica on the node like
@@ -284,22 +314,15 @@ func (r *Router) RemoveReplica(movie, node string) error {
 func (r *Router) EvacuateReplica(movie, node string) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return fmt.Errorf("%w: unknown node %q", ErrBadCluster, node)
+	m, i, err := r.replicaArgs(movie, node)
+	if err != nil {
+		return err
 	}
-	hosts, ok := r.host[movie]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
-	}
-	at := -1
-	routable := 0
-	for k, h := range hosts {
-		if h == i {
+	at, routable := -1, 0
+	for k, rep := range r.replicas[m] {
+		if rep.node == i {
 			at = k
-			continue
-		}
-		if !r.down[h] && r.health[h].state != Quarantined {
+		} else if r.routableLocked(rep.node) {
 			routable++
 		}
 	}
@@ -309,17 +332,28 @@ func (r *Router) EvacuateReplica(movie, node string) error {
 	case routable == 0:
 		return fmt.Errorf("%w: evacuating %q off %q would strand it", ErrUnavailable, movie, node)
 	}
-	r.host[movie] = append(hosts[:at:at], hosts[at+1:]...)
-	caps := r.cap[movie]
-	r.cap[movie] = append(caps[:at:at], caps[at+1:]...)
+	r.replicas[m] = slices.Delete(r.replicas[m], at, at+1)
 	return nil
+}
+
+// dropNewestLocked removes movie m's newest replica — the controller's
+// drop, made only while the movie has more than one, so never the
+// primary — and returns its node. Lock held.
+func (r *Router) dropNewestLocked(m int) int {
+	reps := r.replicas[m]
+	r.replicas[m] = reps[:len(reps)-1]
+	return reps[len(reps)-1].node
 }
 
 // Replicas reports the movie's current replica count.
 func (r *Router) Replicas(movie string) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return len(r.host[movie])
+	m, ok := r.movie[movie]
+	if !ok {
+		return 0
+	}
+	return len(r.replicas[m])
 }
 
 // IsDown reports whether the node is currently marked down.
@@ -335,6 +369,10 @@ func (r *Router) IsDown(node string) bool {
 func (r *Router) Load() (live, capacity int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.loadLocked()
+}
+
+func (r *Router) loadLocked() (live, capacity int) {
 	for i := range r.ids {
 		live += r.live[i]
 		if !r.down[i] {
@@ -365,15 +403,15 @@ type LoadDecision struct {
 func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	hosts, ok := r.host[movie]
+	m, ok := r.movie[movie]
 	if !ok {
 		return LoadDecision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
 	}
-	up, wts, total, err := r.candidatesLocked(movie, hosts)
+	up, wts, total, err := r.candidatesLocked(m)
 	if err != nil {
 		return LoadDecision{}, err
 	}
-	d, _, _ := r.commitLocked(movie, hosts, up[r.drawLocked(wts, total)])
+	d, _, _ := r.commitLocked(m, up[r.drawLocked(wts, total)])
 	return d, nil
 }
 
@@ -385,10 +423,13 @@ func (r *Router) Release(movie, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	i, ok := r.node[node]
-	if ok && r.diskLive != nil {
+	if !ok {
+		return
+	}
+	if r.diskLive != nil {
 		r.releaseDiskLocked(i, r.fullestDiskLocked(i))
 	}
-	r.releaseLocked(movie, node)
+	r.releaseLocked(movie, i)
 }
 
 // ReleaseDisk balances one RouteGray: the viewer served from the given
@@ -396,19 +437,24 @@ func (r *Router) Release(movie, node string) {
 func (r *Router) ReleaseDisk(movie, node string, disk int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.node[node]; ok {
-		r.releaseDiskLocked(i, disk)
+	i, ok := r.node[node]
+	if !ok {
+		return
 	}
-	r.releaseLocked(movie, node)
+	r.releaseDiskLocked(i, disk)
+	r.releaseLocked(movie, i)
 }
 
-func (r *Router) releaseLocked(movie, node string) {
-	if i, ok := r.node[node]; ok && r.live[i] > 0 {
+// releaseLocked drains one stream off node i and, when the movie is
+// placed, one viewer off its (movie, node) count.
+func (r *Router) releaseLocked(movie string, i int) {
+	if r.live[i] > 0 {
 		r.live[i]--
 	}
-	key := movie + "\x00" + node
-	if r.liveBy[key] > 0 {
-		r.liveBy[key]--
+	if m, ok := r.movie[movie]; ok {
+		if v := r.viewers(m, i); *v > 0 {
+			*v--
+		}
 	}
 }
 
@@ -435,7 +481,7 @@ func (r *Router) fullestDiskLocked(i int) int {
 
 // digest folds the router's mutable state into h (a 64-bit FNV-1a
 // accumulator) for checkpoint verification: live loads, down flags and
-// the replica topology. Deterministic iteration order throughout.
+// the replica table, movies in name order.
 func (r *Router) digest(h func(uint64)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -447,17 +493,12 @@ func (r *Router) digest(h func(uint64)) {
 			h(0)
 		}
 	}
-	movies := make([]string, 0, len(r.host))
-	for m := range r.host {
-		movies = append(movies, m)
-	}
-	sort.Strings(movies)
-	for _, m := range movies {
-		h(uint64(len(r.host[m])))
-		for k, n := range r.host[m] {
-			h(uint64(n))
-			h(uint64(r.cap[m][k]))
-			h(uint64(r.liveBy[m+"\x00"+r.ids[n]]))
+	for m, reps := range r.replicas {
+		h(uint64(len(reps)))
+		for _, rep := range reps {
+			h(uint64(rep.node))
+			h(uint64(rep.n))
+			h(uint64(*r.viewers(m, rep.node)))
 		}
 	}
 	h(r.stats.Routed)

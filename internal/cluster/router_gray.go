@@ -57,8 +57,8 @@ func ParseRoutePolicy(s string) (RoutePolicy, error) {
 	}
 }
 
-// SetGrayPolicy arms the gray-resilience machinery: the routing policy
-// and the health/hedging tuning. Call before traffic flows.
+// SetGrayPolicy arms the gray-resilience machinery: the routing policy,
+// the hedge budget and disk-granular health. Call before traffic flows.
 func (r *Router) SetGrayPolicy(p RoutePolicy, hc HealthConfig) error {
 	if p < PolicyBlind || p > PolicyHedge {
 		return fmt.Errorf("%w: routing policy %d", ErrBadCluster, int(p))
@@ -69,14 +69,14 @@ func (r *Router) SetGrayPolicy(p RoutePolicy, hc HealthConfig) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.policy = p
-	r.hcfg = hc.withDefaults()
+	r.hcfg = hc
 	for i := range r.health {
-		r.health[i].win = newSampleWindow(r.hcfg.Window)
+		r.health[i].win = newSampleWindow(healthWindow)
 	}
 	r.refScratch = make([]float64, len(r.ids))
 	// The deadline window holds 4× the node window so the hedge
 	// percentile reflects cluster-wide recent history, not one node's.
-	r.waits = newSampleWindow(4 * r.hcfg.Window)
+	r.waits = newSampleWindow(4 * healthWindow)
 	r.diskLive = make([][]int, len(r.ids))
 	for i := range r.ids {
 		r.diskLive[i] = make([]int, r.disks[i])
@@ -86,7 +86,7 @@ func (r *Router) SetGrayPolicy(p RoutePolicy, hc HealthConfig) error {
 		for i := range r.ids {
 			r.diskHealth[i] = make([]nodeHealth, r.disks[i])
 			for d := range r.diskHealth[i] {
-				r.diskHealth[i][d].win = newSampleWindow(r.hcfg.Window)
+				r.diskHealth[i][d].win = newSampleWindow(healthWindow)
 			}
 		}
 	}
@@ -124,17 +124,14 @@ func (r *Router) HealthState(node string) (HealthState, error) {
 	return r.health[i].state, nil
 }
 
-// healthStateSince reports a node's quarantine state, its score, and
-// when the state was entered — the controller's view for health-aware
-// placement and evacuation dwell. Unknown nodes read as Healthy, and so
-// does everything under PolicyBlind: a blind router measures latency
-// but never acts on it, and the controller riding on top must stay
-// byte-identical to the health-blind control plane.
-func (r *Router) healthStateSince(node string) (st HealthState, score, since float64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok || r.policy == PolicyBlind {
+// healthLocked reports node i's quarantine state, its score, and when
+// the state was entered — the controller's view for health-aware
+// placement and evacuation dwell. Everything reads Healthy under
+// PolicyBlind: a blind router measures latency but never acts on it,
+// and the controller riding on top must stay byte-identical to the
+// health-blind control plane. Lock held.
+func (r *Router) healthLocked(i int) (st HealthState, score, since float64) {
+	if r.policy == PolicyBlind {
 		return Healthy, 1, 0
 	}
 	return r.health[i].state, r.scoreLocked(i), r.health[i].since
@@ -304,7 +301,7 @@ func (r *Router) pickDiskLocked(i int) int {
 }
 
 // probeDiskLocked picks a Probation disk of node i due for a probe:
-// every ProbeEvery-th stream the node admits while a disk waits in
+// every probeEvery-th stream the node admits while a disk waits in
 // Probation routes to that disk (a counter, not a draw). Returns -1
 // when no disk probe is due.
 func (r *Router) probeDiskLocked(i int) int {
@@ -317,7 +314,7 @@ func (r *Router) probeDiskLocked(i int) int {
 			continue
 		}
 		dh.probes++
-		if dh.probes%r.hcfg.ProbeEvery == 0 {
+		if dh.probes%probeEvery == 0 {
 			return d
 		}
 	}
@@ -368,14 +365,14 @@ func (r *Router) fleetHealthLocked() float64 {
 // canQuarantineLocked guards availability: quarantining node i must not
 // leave any movie it hosts without at least one up, routable replica.
 func (r *Router) canQuarantineLocked(i int) bool {
-	for _, hosts := range r.host {
+	for _, reps := range r.replicas {
 		mine, others := false, 0
-		for _, n := range hosts {
-			if n == i {
+		for _, rep := range reps {
+			if rep.node == i {
 				mine = true
 				continue
 			}
-			if !r.down[n] && r.health[n].state != Quarantined {
+			if r.routableLocked(rep.node) {
 				others++
 			}
 		}
@@ -432,7 +429,7 @@ func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine fun
 		} else {
 			nh.bad = 0
 		}
-		if nh.bad >= r.hcfg.SuspectAfter {
+		if nh.bad >= suspectAfter {
 			nh.state, nh.since = Suspect, now
 			nh.bad, nh.good = 0, 0
 			*c.suspects++
@@ -450,17 +447,17 @@ func (r *Router) stepHealthLocked(nh *nodeHealth, now float64, canQuarantine fun
 			nh.good = 0
 		}
 		switch {
-		case nh.good >= r.hcfg.RestoreTicks:
+		case nh.good >= restoreAfter:
 			nh.state, nh.since = Healthy, now
 			nh.bad, nh.good = 0, 0
 			*c.restores++
-		case nh.bad >= r.hcfg.QuarantineAfter && canQuarantine():
+		case nh.bad >= quarantineAfter && canQuarantine():
 			nh.state, nh.since = Quarantined, now
 			nh.bad, nh.good = 0, 0
 			*c.quarantines++
 		}
 	case Quarantined:
-		if now-nh.since >= r.hcfg.ProbationAfter {
+		if now-nh.since >= probationAfter {
 			nh.state, nh.since = Probation, now
 			nh.probes = 0
 			nh.reset()
@@ -481,7 +478,7 @@ func (r *Router) observeLocked(i int, wait, now float64, probe bool) {
 }
 
 // judgeProbeLocked judges one probation probe of a node or disk tracker
-// on its wait alone: ProbeOK good probes in a row restore it (bumping
+// on its wait alone: probeOK good probes in a row restore it (bumping
 // restores), one bad probe sends it back to quarantine and restarts the
 // full dwell — the hysteresis bounding flap frequency. canQuarantine
 // guards relapses too: when it refuses (the node would strand a movie,
@@ -494,7 +491,7 @@ func (r *Router) judgeProbeLocked(nh *nodeHealth, wait, now float64, canQuaranti
 	switch sc := r.instScoreLocked(wait); {
 	case sc >= restoreAbove:
 		nh.good++
-		if nh.good >= r.hcfg.ProbeOK {
+		if nh.good >= probeOK {
 			nh.state, nh.since = Healthy, now
 			nh.bad, nh.good = 0, 0
 			*restores++
@@ -515,18 +512,14 @@ func (r *Router) recordWaitLocked(wait float64) {
 	r.waits.push(wait)
 }
 
-// hedgeDeadlineLocked is the current hedging deadline: the configured
-// percentile of recently observed waits, floored at HedgeMin. Unarmed
-// (not enough history) until HedgeWarm waits have been seen.
+// hedgeDeadlineLocked is the current hedging deadline: the
+// hedgeQuantile of recently observed waits, floored at hedgeMin.
+// Unarmed (not enough history) until hedgeWarm waits have been seen.
 func (r *Router) hedgeDeadlineLocked() (float64, bool) {
-	if r.waits.n < r.hcfg.HedgeWarm {
+	if r.waits.n < hedgeWarm {
 		return 0, false
 	}
-	dl := r.waits.quantile(r.hcfg.HedgeQuantile)
-	if dl < r.hcfg.HedgeMin {
-		dl = r.hcfg.HedgeMin
-	}
-	return dl, true
+	return max(r.waits.quantile(hedgeQuantile), hedgeMin), true
 }
 
 // GrayDecision is RouteGray's outcome: the winning replica plus what
@@ -571,16 +564,18 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 			r.hedgeTokens = r.hcfg.HedgeBudget
 		}
 	}
-	hosts, ok := r.host[movie]
+	m, ok := r.movie[movie]
 	if !ok {
 		return GrayDecision{}, fmt.Errorf("%w: %q", ErrUnknownMovie, movie)
 	}
+	reps := r.replicas[m]
 
-	// Probation probes: every ProbeEvery-th eligible request for a
+	// Probation probes: every probeEvery-th eligible request for a
 	// probation host routes there deterministically (a counter, not a
 	// draw, so replay stays exact).
 	if r.policy != PolicyBlind {
-		for k, n := range hosts {
+		for k, rep := range reps {
+			n := rep.node
 			nh := &r.health[n]
 			if nh.state != Probation || r.down[n] {
 				continue
@@ -589,13 +584,13 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				continue
 			}
 			nh.probes++
-			if nh.probes%r.hcfg.ProbeEvery != 0 {
+			if nh.probes%probeEvery != 0 {
 				continue
 			}
-			d, disk, diskProbe := r.commitLocked(movie, hosts, k)
+			d, disk, diskProbe := r.commitLocked(m, k)
 			wait := waitFn(n, disk, r.diskLiveLocked(n, disk))
 			if !(wait >= 0) {
-				return GrayDecision{}, r.refuseWaitLocked(movie, d, n, disk, wait)
+				return GrayDecision{}, r.refuseWaitLocked(m, d, n, disk, wait)
 			}
 			r.gray.Probes++
 			r.observeLocked(n, wait, now, true)
@@ -605,17 +600,17 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 		}
 	}
 
-	up, wts, total, err := r.candidatesLocked(movie, hosts)
+	up, wts, total, err := r.candidatesLocked(m)
 	if err != nil {
 		return GrayDecision{}, err
 	}
 	choice := up[r.drawLocked(wts, total)]
 
-	d, disk1, diskProbe1 := r.commitLocked(movie, hosts, choice)
-	primary := hosts[choice]
+	d, disk1, diskProbe1 := r.commitLocked(m, choice)
+	primary := reps[choice].node
 	wait1 := waitFn(primary, disk1, r.diskLiveLocked(primary, disk1))
 	if !(wait1 >= 0) {
-		return GrayDecision{}, r.refuseWaitLocked(movie, d, primary, disk1, wait1)
+		return GrayDecision{}, r.refuseWaitLocked(m, d, primary, disk1, wait1)
 	}
 	out := GrayDecision{LoadDecision: d, Wait: wait1, Disk: disk1, Probe: diskProbe1}
 
@@ -629,7 +624,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				if k == choice {
 					continue
 				}
-				s := r.scoreLocked(hosts[k])
+				s := r.scoreLocked(reps[k].node)
 				if bk < 0 || s > bs || (s == bs && wts[j] > bw) {
 					bk, bs, bw = k, s, wts[j]
 				}
@@ -641,8 +636,8 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				bk = -1
 			}
 			if bk >= 0 {
-				backup := hosts[bk]
-				bd, disk2, diskProbe2 := r.commitLocked(movie, hosts, bk)
+				backup := reps[bk].node
+				bd, disk2, diskProbe2 := r.commitLocked(m, bk)
 				// One request, not two: back out the double count.
 				r.stats.Routed--
 				if bd.Failover {
@@ -650,22 +645,22 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				}
 				wait2 := waitFn(backup, disk2, r.diskLiveLocked(backup, disk2))
 				if !(wait2 >= 0) {
-					r.cancelLocked(movie, backup, disk2)
-					return GrayDecision{}, r.refuseWaitLocked(movie, d, primary, disk1, wait2)
+					r.cancelLocked(m, backup, disk2)
+					return GrayDecision{}, r.refuseWaitLocked(m, d, primary, disk1, wait2)
 				}
 				r.hedgeTokens--
 				r.gray.Hedges++
 				out.Hedged = true
 				if dl+wait2 < wait1 {
 					// Backup wins: cancel the primary (typed).
-					r.cancelLocked(movie, primary, disk1)
+					r.cancelLocked(m, primary, disk1)
 					r.gray.HedgeWins++
 					out.LoadDecision = bd
 					out.Wait = dl + wait2
 					out.Disk = disk2
 					out.HedgeWin = true
 				} else {
-					r.cancelLocked(movie, backup, disk2)
+					r.cancelLocked(m, backup, disk2)
 				}
 				r.gray.HedgeCancels++
 				r.observeLocked(backup, wait2, now, false)
@@ -688,12 +683,12 @@ func (r *Router) diskLiveLocked(node, disk int) int {
 	return r.diskLive[node][disk]
 }
 
-// commitLocked books one request onto hosts[choice], hosts being the
-// movie's replica hosts as the caller looked them up — choosing the
-// serving disk, probation disks first when a probe is due — and builds
-// its LoadDecision. Lock held.
-func (r *Router) commitLocked(movie string, hosts []int, choice int) (LoadDecision, int, bool) {
-	node := hosts[choice]
+// commitLocked books one request onto movie m's replica k — choosing
+// the serving disk, probation disks first when a probe is due — and
+// builds its LoadDecision. Lock held.
+func (r *Router) commitLocked(m, k int) (LoadDecision, int, bool) {
+	reps := r.replicas[m]
+	node := reps[k].node
 	disk, diskProbe := 0, false
 	if r.diskLive != nil {
 		if pd := r.probeDiskLocked(node); pd >= 0 {
@@ -705,14 +700,14 @@ func (r *Router) commitLocked(movie string, hosts []int, choice int) (LoadDecisi
 		r.diskLive[node][disk]++
 	}
 	r.live[node]++
-	key := movie + "\x00" + r.ids[node]
-	r.liveBy[key]++
+	v := r.viewers(m, node)
+	*v++
 	r.stats.Routed++
 	d := LoadDecision{
 		Node:     r.ids[node],
-		Failover: r.down[hosts[0]],
-		AllocN:   r.cap[movie][choice],
-		Live:     r.liveBy[key],
+		Failover: r.down[reps[0].node],
+		AllocN:   reps[k].n,
+		Live:     *v,
 	}
 	if d.Failover {
 		r.stats.Failovers++
@@ -724,8 +719,8 @@ func (r *Router) commitLocked(movie string, hosts []int, choice int) (LoadDecisi
 // is NaN or negative — a value the sorted windows cannot order. The
 // reservation is released and uncounted, no tracker or window sees the
 // value, and the caller gets an ErrBadCluster. Lock held.
-func (r *Router) refuseWaitLocked(movie string, d LoadDecision, node, disk int, wait float64) error {
-	r.cancelLocked(movie, node, disk)
+func (r *Router) refuseWaitLocked(m int, d LoadDecision, node, disk int, wait float64) error {
+	r.cancelLocked(m, node, disk)
 	r.stats.Routed--
 	if d.Failover {
 		r.stats.Failovers--
@@ -735,14 +730,13 @@ func (r *Router) refuseWaitLocked(movie string, d LoadDecision, node, disk int, 
 
 // cancelLocked releases a hedge loser's reservation: the typed
 // cancellation of the slower dispatch. Lock held.
-func (r *Router) cancelLocked(movie string, node, disk int) {
+func (r *Router) cancelLocked(m, node, disk int) {
 	if r.live[node] > 0 {
 		r.live[node]--
 	}
 	r.releaseDiskLocked(node, disk)
-	key := movie + "\x00" + r.ids[node]
-	if r.liveBy[key] > 0 {
-		r.liveBy[key]--
+	if v := r.viewers(m, node); *v > 0 {
+		*v--
 	}
 }
 

@@ -27,8 +27,7 @@ func grayPlacement(t *testing.T) Placement {
 }
 
 // grayRouter builds a router over a 3-node placement with gray routing
-// armed under the given policy and a small, fast-reacting health
-// config.
+// armed under the given policy.
 func grayRouter(t *testing.T, pol RoutePolicy) (*Router, Placement) {
 	t.Helper()
 	p := grayPlacement(t)
@@ -36,10 +35,7 @@ func grayRouter(t *testing.T, pol RoutePolicy) (*Router, Placement) {
 	if err != nil {
 		t.Fatalf("NewRouter: %v", err)
 	}
-	if err := r.SetGrayPolicy(pol, HealthConfig{
-		Window: 16, SuspectAfter: 3, QuarantineAfter: 4, RestoreTicks: 3,
-		ProbationAfter: 10, ProbeEvery: 4, ProbeOK: 2, HedgeWarm: 16,
-	}); err != nil {
+	if err := r.SetGrayPolicy(pol, HealthConfig{}); err != nil {
 		t.Fatalf("SetGrayPolicy: %v", err)
 	}
 	return r, p
@@ -98,7 +94,7 @@ func TestRouterQuarantineLifecycle(t *testing.T) {
 
 	// Past the dwell it goes on probation; now healthy again, the probes
 	// restore it.
-	driveGray(t, r, "hot", 400, 20, nil)
+	driveGray(t, r, "hot", 400, 2*probationAfter, nil)
 	if st, _ = r.HealthState(slowNode); st != Healthy {
 		t.Fatalf("after recovery state = %v, want healthy\n%+v", st, r.HealthSnapshot())
 	}
@@ -300,10 +296,7 @@ func TestRouterGrayDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}
-		if err := r.SetGrayPolicy(PolicyHedge, HealthConfig{
-			Window: 16, SuspectAfter: 3, QuarantineAfter: 4, RestoreTicks: 3,
-			ProbationAfter: 10, ProbeEvery: 4, ProbeOK: 2, HedgeWarm: 16,
-		}); err != nil {
+		if err := r.SetGrayPolicy(PolicyHedge, HealthConfig{}); err != nil {
 			t.Fatalf("SetGrayPolicy: %v", err)
 		}
 		slow := p.Replicas("hot")[0].Node
@@ -400,7 +393,7 @@ func TestRouteGrayRefusesBadWait(t *testing.T) {
 			if err := r.SetHealthState(p.Replicas("hot")[0].Node, Probation); err != nil {
 				t.Fatal(err)
 			}
-			driveGray(t, r, "hot", 3, 0, nil) // the 4th eligible request probes
+			driveGray(t, r, "hot", probeEvery-1, 0, nil) // the next eligible request probes
 		}, func() func(int, int, int) float64 {
 			return func(int, int, int) float64 { return math.NaN() }
 		}},

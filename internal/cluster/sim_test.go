@@ -6,6 +6,8 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"vodalloc/internal/checkpoint"
@@ -356,6 +358,61 @@ func TestParseNodeFaults(t *testing.T) {
 			t.Errorf("%q: got %+v, %v; want ErrBadCluster", spec, got, err)
 		}
 	}
+}
+
+// FuzzParseNodeFaults pins the node-outage spec parser: any input
+// either fails with an ErrBadCluster or yields faults that re-render as
+// node@at[-until] and re-parse to the same values (NaN equal to NaN),
+// and validating a parsed fault never panics — a validated one has a
+// finite, non-negative start and a finite end.
+func FuzzParseNodeFaults(f *testing.F) {
+	for _, spec := range []string{
+		"node0@400", "node0@100-200", "node0@400, node2@500-1500", "",
+		"node0@1e-3", "node0@1e-3-2e-3", "node0@1E2-2e+3",
+		"node0@-5", "node0@5--3", "node0@-1e-3--2e-3",
+		"node0@Inf", "node0@1-Inf", "node0@-inf", "node0@NaN", "node0@5-NaN",
+		"node0", "@400", "node0@", "node0@abc", "node0@100-", "node0@1e-3-x",
+		"node0@400,", " , ", "a b@1", "node0@0x1p-2", "node0@1e400",
+	} {
+		f.Add(spec)
+	}
+	render := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	same := func(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+	f.Fuzz(func(t *testing.T, spec string) {
+		fs, err := ParseNodeFaults(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadCluster) {
+				t.Fatalf("parse error %v is not ErrBadCluster", err)
+			}
+			return
+		}
+		parts := make([]string, len(fs))
+		for i, nf := range fs {
+			parts[i] = nf.Node + "@" + render(nf.At)
+			if nf.Until != 0 {
+				parts[i] += "-" + render(nf.Until)
+			}
+			if err := nf.Validate(nil); !errors.Is(err, ErrBadCluster) {
+				t.Fatalf("%+v validated against no nodes: %v", nf, err)
+			}
+			err := nf.Validate(map[string]bool{nf.Node: true})
+			switch {
+			case err != nil && !errors.Is(err, ErrBadCluster):
+				t.Fatalf("validate error %v is not ErrBadCluster", err)
+			case err == nil && (!(nf.At >= 0) || math.IsInf(nf.At, 0) || math.IsNaN(nf.Until) || math.IsInf(nf.Until, 0)):
+				t.Fatalf("validated fault has a bad time: %+v", nf)
+			}
+		}
+		back, err := ParseNodeFaults(strings.Join(parts, ","))
+		if err != nil || len(back) != len(fs) {
+			t.Fatalf("%q re-rendered as %q: %v, %v", spec, parts, back, err)
+		}
+		for i := range fs {
+			if back[i].Node != fs[i].Node || !same(back[i].At, fs[i].At) || !same(back[i].Until, fs[i].Until) {
+				t.Fatalf("%q: fault %d %+v re-parsed as %+v", spec, i, fs[i], back[i])
+			}
+		}
+	})
 }
 
 // TestSimulateRoutingFlowsPinned pins Simulate's routing pass — every

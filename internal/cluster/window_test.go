@@ -118,29 +118,19 @@ func TestSampleWindowMatchesSortOracle(t *testing.T) {
 }
 
 // TestHedgeDeadlineMatchesSortOracle drives the router's deadline window
-// through random waits, with random window sizes, warm-up thresholds
-// and percentiles, and requires the deadline and its armed flag to equal
-// the copy-and-sort oracle's.
+// through random waits and fill levels, and requires the deadline and
+// its armed flag to equal the copy-and-sort oracle's.
 func TestHedgeDeadlineMatchesSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 60; trial++ {
-		hc := HealthConfig{
-			Window:        drawWindow(rng) / 4,
-			HedgeQuantile: 0.01 + 0.98*rng.Float64(),
-			HedgeMin:      0.5 + 2*rng.Float64(),
-			HedgeWarm:     1 + rng.Intn(128),
-		}
-		if hc.Window < 4 {
-			hc.Window = 4
-		}
 		r, err := NewRouter(grayPlacement(t), 7)
 		if err != nil {
 			t.Fatalf("NewRouter: %v", err)
 		}
-		if err := r.SetGrayPolicy(PolicyHedge, hc); err != nil {
-			t.Fatalf("SetGrayPolicy(%+v): %v", hc, err)
+		if err := r.SetGrayPolicy(PolicyHedge, HealthConfig{}); err != nil {
+			t.Fatalf("SetGrayPolicy: %v", err)
 		}
-		o := sortOracle{size: 4 * hc.Window}
+		o := sortOracle{size: 4 * healthWindow}
 		ops := rng.Intn(3 * o.size)
 		stride := 1 + o.size/64
 		for op := 0; op < ops; op++ {
@@ -151,10 +141,10 @@ func TestHedgeDeadlineMatchesSortOracle(t *testing.T) {
 				continue
 			}
 			dl, armed := r.hedgeDeadlineLocked()
-			wantArmed := len(o.samples) >= hc.HedgeWarm
+			wantArmed := len(o.samples) >= hedgeWarm
 			want := 0.0
 			if wantArmed {
-				want = math.Max(o.quantile(hc.HedgeQuantile), hc.HedgeMin)
+				want = math.Max(o.quantile(hedgeQuantile), hedgeMin)
 			}
 			if dl != want || armed != wantArmed {
 				t.Fatalf("trial %d op %d: deadline (%v, %v), oracle (%v, %v)", trial, op, dl, armed, want, wantArmed)

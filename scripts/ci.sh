@@ -6,6 +6,9 @@
 # benchmark smoke pass (one iteration each, so broken benchmarks fail CI
 # without paying for measurement). The race pass covers the parallel
 # sweep engine (internal/parallel) and every fan-out built on it.
+# A fuzz pass runs each of the module's nine Fuzz targets (spec
+# parsers, the catalog reader, the checkpoint decoder, the HTTP request
+# decoders) for 5 s past its seed corpus.
 # A crash-resume smoke SIGKILLs checkpointed runs mid-flight and
 # requires the resumed output to be byte-identical (scripts/killresume.sh),
 # after a pass over the checkpoint decoder's fuzz corpus; a
@@ -66,6 +69,15 @@ if $staticcheck_cmd -version >/dev/null 2>&1; then
 else
     echo "ci: staticcheck unavailable (offline?); stage skipped"
 fi
+
+# --- fuzz: every Fuzz target for 5 s (go test -fuzz takes one target
+# per run, so each file's targets are listed and run in turn) ---
+for file in $(grep -rl --include='*_test.go' '^func Fuzz' cmd internal); do
+    for target in $(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$file"); do
+        go test -run='^$' -fuzz="^$target\$" -fuzztime=5s "./$(dirname "$file")"
+    done
+done
+echo "ci: fuzz pass passed"
 
 # --- checkpoint fuzz corpus + crash-resume smoke ---
 go test -run='^FuzzCheckpointDecode$' ./internal/checkpoint
