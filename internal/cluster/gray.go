@@ -5,18 +5,17 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"vodalloc/internal/faults"
 )
 
-// Node-level gray failures for the churn simulator: unlike a NodeFault
-// outage, a gray-faulted node stays formally in service — it just
-// serves late. SlowDisk multiplies its service latency, Jitter
+// Node-level gray failures for the churn simulator — the repository's
+// one gray-failure model: unlike a NodeFault outage, a gray-faulted
+// node (or one of its disks) stays formally in service — it just
+// serves late. GraySlow multiplies its service latency, GrayJitter
 // stretches the latency tail with a seeded mean-one lognormal, and
-// Brownout cuts its effective throughput so load piles into queueing
-// delay. All three are injected as DES events (a set event at At, a
-// clear event at Until), so gray runs replay and checkpoint-resume
-// exactly like outage runs.
+// GrayBrownout cuts its effective throughput so load piles into
+// queueing delay. All three are injected as typed DES events (a set
+// event at At, a clear event at Until), so gray runs replay and
+// checkpoint-resume exactly like outage runs.
 
 // GrayKind classifies a node-level gray fault.
 type GrayKind int8
@@ -169,7 +168,7 @@ func ParseGrayFaults(spec string) ([]GrayFault, error) {
 		if !ok {
 			return nil, fmt.Errorf("%w: gray fault %q wants kind:node@start[-end]:factor", ErrBadCluster, tok)
 		}
-		fromStr, toStr, ranged := faults.CutTimeRange(times)
+		fromStr, toStr, ranged := cutTimeRange(times)
 		v, err := strconv.ParseFloat(fromStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: gray fault %q: %v", ErrBadCluster, tok, err)

@@ -418,44 +418,51 @@ func (r *Router) RouteLoad(movie string) (LoadDecision, error) {
 // Release balances one RouteLoad: the viewer routed to the movie's
 // replica on the node has departed. On a gray-armed router the stream
 // is drained from the node's most-loaded disk; callers that know the
-// serving disk (the churn DES) use ReleaseDisk instead.
+// serving disk (the churn DES) use ReleaseDisk instead. A release that
+// matches no booked viewer of the movie on the node changes nothing.
 func (r *Router) Release(movie, node string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return
+	if m, i, ok := r.bookedLocked(movie, node); ok {
+		disk := -1
+		if r.diskLive != nil {
+			disk = r.fullestDiskLocked(i)
+		}
+		r.releaseLocked(m, i, disk)
 	}
-	if r.diskLive != nil {
-		r.releaseDiskLocked(i, r.fullestDiskLocked(i))
-	}
-	r.releaseLocked(movie, i)
 }
 
 // ReleaseDisk balances one RouteGray: the viewer served from the given
-// disk of the node has departed.
+// disk of the node has departed. Like Release, it changes nothing
+// unless a viewer of the movie is booked on the node.
 func (r *Router) ReleaseDisk(movie, node string, disk int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	i, ok := r.node[node]
-	if !ok {
-		return
+	if m, i, ok := r.bookedLocked(movie, node); ok {
+		r.releaseLocked(m, i, disk)
 	}
-	r.releaseDiskLocked(i, disk)
-	r.releaseLocked(movie, i)
 }
 
-// releaseLocked drains one stream off node i and, when the movie is
-// placed, one viewer off its (movie, node) count.
-func (r *Router) releaseLocked(movie string, i int) {
-	if r.live[i] > 0 {
-		r.live[i]--
+// bookedLocked resolves a release's movie and node to their indexes
+// and reports whether a viewer of the movie is booked on the node.
+// Lock held.
+func (r *Router) bookedLocked(movie, node string) (m, i int, ok bool) {
+	if m, ok = r.movie[movie]; !ok {
+		return 0, 0, false
 	}
-	if m, ok := r.movie[movie]; ok {
-		if v := r.viewers(m, i); *v > 0 {
-			*v--
-		}
-	}
+	i, ok = r.node[node]
+	return m, i, ok && *r.viewers(m, i) > 0
+}
+
+// releaseLocked takes one booked viewer of movie m off node i: its
+// (movie, node) count, its stream and its slot on the given disk (none
+// when disk is out of range). Departures and backed-out reservations
+// both release here, so a node's live count stays the sum of its
+// per-movie counts. Lock held.
+func (r *Router) releaseLocked(m, i, disk int) {
+	*r.viewers(m, i)--
+	r.live[i]--
+	r.releaseDiskLocked(i, disk)
 }
 
 func (r *Router) releaseDiskLocked(i, disk int) {

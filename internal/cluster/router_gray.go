@@ -645,7 +645,7 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				}
 				wait2 := waitFn(backup, disk2, r.diskLiveLocked(backup, disk2))
 				if !(wait2 >= 0) {
-					r.cancelLocked(m, backup, disk2)
+					r.releaseLocked(m, backup, disk2)
 					return GrayDecision{}, r.refuseWaitLocked(m, d, primary, disk1, wait2)
 				}
 				r.hedgeTokens--
@@ -653,14 +653,14 @@ func (r *Router) RouteGray(movie string, now float64, waitFn func(node, disk, li
 				out.Hedged = true
 				if dl+wait2 < wait1 {
 					// Backup wins: cancel the primary (typed).
-					r.cancelLocked(m, primary, disk1)
+					r.releaseLocked(m, primary, disk1)
 					r.gray.HedgeWins++
 					out.LoadDecision = bd
 					out.Wait = dl + wait2
 					out.Disk = disk2
 					out.HedgeWin = true
 				} else {
-					r.cancelLocked(m, backup, disk2)
+					r.releaseLocked(m, backup, disk2)
 				}
 				r.gray.HedgeCancels++
 				r.observeLocked(backup, wait2, now, false)
@@ -720,24 +720,12 @@ func (r *Router) commitLocked(m, k int) (LoadDecision, int, bool) {
 // reservation is released and uncounted, no tracker or window sees the
 // value, and the caller gets an ErrBadCluster. Lock held.
 func (r *Router) refuseWaitLocked(m int, d LoadDecision, node, disk int, wait float64) error {
-	r.cancelLocked(m, node, disk)
+	r.releaseLocked(m, node, disk)
 	r.stats.Routed--
 	if d.Failover {
 		r.stats.Failovers--
 	}
 	return fmt.Errorf("%w: wait %v on node %q is not a non-negative number", ErrBadCluster, wait, r.ids[node])
-}
-
-// cancelLocked releases a hedge loser's reservation: the typed
-// cancellation of the slower dispatch. Lock held.
-func (r *Router) cancelLocked(m, node, disk int) {
-	if r.live[node] > 0 {
-		r.live[node]--
-	}
-	r.releaseDiskLocked(node, disk)
-	if v := r.viewers(m, node); *v > 0 {
-		*v--
-	}
 }
 
 // grayDigest folds the gray-resilience state into the checkpoint

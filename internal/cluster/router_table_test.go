@@ -177,16 +177,15 @@ func (ref *refRouter) admit(movie string, d LoadDecision, probe bool, state func
 	return nil
 }
 
+// release takes one viewer of the movie off the node, and changes
+// nothing when none is booked there.
 func (ref *refRouter) release(movie, node string) {
-	if _, ok := ref.max[node]; !ok {
+	key := refKey(movie, node)
+	if ref.liveBy[key] == 0 {
 		return
 	}
-	if ref.live[node] > 0 {
-		ref.live[node]--
-	}
-	if key := refKey(movie, node); ref.liveBy[key] > 0 {
-		ref.liveBy[key]--
-	}
+	ref.liveBy[key]--
+	ref.live[node]--
 }
 
 // matches compares the router's replica table and live counts with the

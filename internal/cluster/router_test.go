@@ -386,6 +386,48 @@ func TestRouterLoadTypedErrors(t *testing.T) {
 	}
 }
 
+// TestStrayReleaseKeepsNodeFull: a release that matches no booked
+// viewer — of a movie the router does not place, or of a placed movie
+// with no viewer on the node — changes nothing, so a saturated node
+// stays saturated and its live count stays the sum of its per-movie
+// counts.
+func TestStrayReleaseKeepsNodeFull(t *testing.T) {
+	allocs := []MovieAlloc{{Movie: "a", N: 4, B: 1, Weight: 1}, {Movie: "b", N: 1, B: 1, Weight: 1}}
+	p, err := PackAllocs(allocs, UniformNodes(1, 5, 10), Options{})
+	if err != nil {
+		t.Fatalf("PackAllocs: %v", err)
+	}
+	r, err := NewRouter(p, 1)
+	if err != nil {
+		t.Fatalf("NewRouter: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := r.RouteLoad("a"); err != nil {
+			t.Fatalf("RouteLoad %d under capacity: %v", i, err)
+		}
+	}
+	r.Release("ghost", "node0")
+	r.Release("b", "node0")
+	r.ReleaseDisk("b", "node0", 0)
+	if _, err := r.RouteLoad("a"); !errors.Is(err, ErrSaturated) {
+		t.Fatalf("after stray releases: err = %v, want ErrSaturated", err)
+	}
+	r.mu.Lock()
+	live, booked := r.live[0], 0
+	for m := range r.names {
+		booked += *r.viewers(m, 0)
+	}
+	r.mu.Unlock()
+	if live != 5 || booked != 5 {
+		t.Fatalf("node0 live %d, booked viewers %d; want 5 and 5", live, booked)
+	}
+	// A booked viewer's release still frees its stream.
+	r.Release("a", "node0")
+	if _, err := r.RouteLoad("a"); err != nil {
+		t.Fatalf("after a booked release: %v", err)
+	}
+}
+
 // TestRouterReplicaGuards pins the rebalance-safety invariants.
 func TestRouterReplicaGuards(t *testing.T) {
 	p := testPlacement(t)

@@ -55,7 +55,7 @@ func ParseNodeFaults(spec string) ([]NodeFault, error) {
 			return nil, fmt.Errorf("%w: bad fault %q: want node@start[-end]", ErrBadCluster, part)
 		}
 		f := NodeFault{Node: node}
-		at, until, ranged := faults.CutTimeRange(times)
+		at, until, ranged := cutTimeRange(times)
 		v, err := strconv.ParseFloat(at, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: bad fault %q: %v", ErrBadCluster, part, err)
@@ -71,6 +71,19 @@ func ParseNodeFaults(spec string) ([]NodeFault, error) {
 		out = append(out, f)
 	}
 	return out, nil
+}
+
+// cutTimeRange splits "T-T2" into its endpoints, leaving exponent
+// notation like 1e-3 intact: the separator is the first '-' that is
+// neither leading nor preceded by an exponent marker. The node-outage
+// and gray fault parsers both split their time ranges here.
+func cutTimeRange(s string) (from, to string, ranged bool) {
+	for i := 1; i < len(s); i++ {
+		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
+			return s[:i], s[i+1:], true
+		}
+	}
+	return s, "", false
 }
 
 // SimConfig parameterizes a cluster simulation: a placement to deploy,

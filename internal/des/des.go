@@ -38,12 +38,12 @@
 // once, switching over its own kind set, and names the object an event
 // concerns (a viewer, a particle, a departure) by its index in an
 // engine-owned table, so scheduling an event per viewer allocates
-// nothing. Schedule, ScheduleAt and ScheduleAtClass keep taking a plain
-// callback: they wrap it as a Func, a Receiver of func type, and that
-// conversion allocates nothing either, so both kinds of event share the
-// one record, queue and firing path. Engines keep callbacks only for
-// events a run schedules a fixed number of times, such as the
-// simulator's fault timeline.
+// nothing. No engine schedules a callback: every pending event of the
+// sim, fluid and churn engines is plain data. Schedule, ScheduleAt and
+// ScheduleAtClass still take a plain callback, for callers outside the
+// engines such as benchmark probes: they wrap it as a Func, a Receiver
+// of func type, and that conversion allocates nothing either, so both
+// kinds of event share the one record, queue and firing path.
 package des
 
 import (

@@ -41,19 +41,6 @@ const (
 	// BufferLoss destroys one live buffer partition (the oldest, or the
 	// oldest of Movie when set): its viewers lose their memory feed.
 	BufferLoss
-	// SlowDisk is the classic gray failure: the disk still answers every
-	// request, but Factor times slower, over [At, Until) (Until 0 =
-	// permanent). Overlapping slow faults on one disk do not stack; the
-	// latest sets the multiplier.
-	SlowDisk
-	// DiskJitter inflates the disk's service latency by a seeded
-	// lognormal factor with sigma Factor (mean-one, so the expected
-	// latency is unchanged but the tail stretches) over [At, Until).
-	DiskJitter
-	// Brownout reduces the disk's effective throughput to fraction
-	// Factor of nominal over [At, Until): per-op service time inflates
-	// by 1/Factor while the disk stays formally in service.
-	Brownout
 )
 
 // String names the kind as in the Parse syntax.
@@ -67,19 +54,10 @@ func (k Kind) String() string {
 		return "glitch"
 	case BufferLoss:
 		return "bufloss"
-	case SlowDisk:
-		return "slow"
-	case DiskJitter:
-		return "jitter"
-	case Brownout:
-		return "brownout"
 	default:
 		return "unknown"
 	}
 }
-
-// Gray reports whether the kind is a gray (degraded-but-alive) failure.
-func (k Kind) Gray() bool { return k >= SlowDisk && k <= Brownout }
 
 // Event is one scheduled fault.
 type Event struct {
@@ -93,13 +71,6 @@ type Event struct {
 	Count int
 	// Movie optionally scopes BufferLoss to one movie's partitions.
 	Movie string
-	// Until ends a gray-fault interval (SlowDisk/DiskJitter/Brownout);
-	// 0 means the fault holds to the end of the run.
-	Until float64
-	// Factor parameterizes gray faults: the latency multiplier for
-	// SlowDisk, the lognormal sigma for DiskJitter, and the remaining
-	// throughput fraction (0, 1] for Brownout.
-	Factor float64
 }
 
 // String renders the event in the Parse syntax.
@@ -114,11 +85,6 @@ func (e Event) String() string {
 			return fmt.Sprintf("%s@%g:%s", e.Kind, e.At, e.Movie)
 		}
 		return fmt.Sprintf("%s@%g", e.Kind, e.At)
-	case SlowDisk, DiskJitter, Brownout:
-		if e.Until > 0 {
-			return fmt.Sprintf("%s@%g-%g:d%d:%g", e.Kind, e.At, e.Until, e.Disk, e.Factor)
-		}
-		return fmt.Sprintf("%s@%g:d%d:%g", e.Kind, e.At, e.Disk, e.Factor)
 	default:
 		return fmt.Sprintf("unknown@%g", e.At)
 	}
@@ -133,18 +99,8 @@ func (e Event) Validate() error {
 		return fmt.Errorf("%w: disk %d", ErrBadSchedule, e.Disk)
 	case e.Kind == AllocGlitch && e.Count < 1:
 		return fmt.Errorf("%w: glitch count %d", ErrBadSchedule, e.Count)
-	case e.Kind < DiskFail || e.Kind > Brownout:
+	case e.Kind < DiskFail || e.Kind > BufferLoss:
 		return fmt.Errorf("%w: kind %d", ErrBadSchedule, int(e.Kind))
-	case e.Kind.Gray() && e.Disk < 0:
-		return fmt.Errorf("%w: disk %d", ErrBadSchedule, e.Disk)
-	case e.Kind.Gray() && !(e.Factor > 0 && !math.IsInf(e.Factor, 0)):
-		return fmt.Errorf("%w: %s factor %v (want a positive finite value)", ErrBadSchedule, e.Kind, e.Factor)
-	case e.Kind == Brownout && e.Factor > 1:
-		return fmt.Errorf("%w: brownout fraction %v outside (0, 1]", ErrBadSchedule, e.Factor)
-	case e.Kind.Gray() && (math.IsNaN(e.Until) || math.IsInf(e.Until, 0) || e.Until < 0):
-		return fmt.Errorf("%w: until %v", ErrBadSchedule, e.Until)
-	case e.Kind.Gray() && e.Until != 0 && e.Until <= e.At:
-		return fmt.Errorf("%w: empty interval [%v, %v)", ErrBadSchedule, e.At, e.Until)
 	}
 	return nil
 }
@@ -188,11 +144,7 @@ func (s Schedule) String() string {
 //	glitch@T:N        the next N allocations after T fail transiently
 //	bufloss@T         the oldest buffer partition is lost at time T
 //	bufloss@T:M       the oldest partition of movie M is lost at time T
-//	slow@T[-T2]:dD:F  disk D serves at F× latency over [T, T2)
-//	jitter@T[-T2]:dD:S  disk D latency jitters (lognormal sigma S)
-//	brownout@T[-T2]:dD:F  disk D throughput browns out to fraction F
 //
-// Gray faults without -T2 hold to the end of the run.
 // Parse(Schedule.String()) round-trips.
 func Parse(spec string) (Schedule, error) {
 	if strings.TrimSpace(spec) == "" {
@@ -209,24 +161,11 @@ func Parse(spec string) (Schedule, error) {
 			return nil, fmt.Errorf("%w: %q wants kind@time[:arg]", ErrBadSchedule, tok)
 		}
 		atStr, arg, hasArg := strings.Cut(rest, ":")
-		fromStr, toStr := atStr, ""
-		ranged := false
-		switch kind {
-		case "slow", "jitter", "brownout":
-			fromStr, toStr, ranged = CutTimeRange(atStr)
-		}
-		at, err := strconv.ParseFloat(fromStr, 64)
+		at, err := strconv.ParseFloat(atStr, 64)
 		if err != nil {
 			return nil, fmt.Errorf("%w: time in %q: %v", ErrBadSchedule, tok, err)
 		}
 		e := Event{At: at}
-		if ranged {
-			until, err := strconv.ParseFloat(toStr, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: end time in %q: %v", ErrBadSchedule, tok, err)
-			}
-			e.Until = until
-		}
 		switch kind {
 		case "fail", "repair":
 			e.Kind = DiskFail
@@ -256,29 +195,6 @@ func Parse(spec string) (Schedule, error) {
 			if hasArg {
 				e.Movie = arg
 			}
-		case "slow", "jitter", "brownout":
-			switch kind {
-			case "slow":
-				e.Kind = SlowDisk
-			case "jitter":
-				e.Kind = DiskJitter
-			default:
-				e.Kind = Brownout
-			}
-			dStr, fStr, okF := strings.Cut(arg, ":")
-			if !hasArg || !okF || !strings.HasPrefix(dStr, "d") {
-				return nil, fmt.Errorf("%w: %q wants %s@T[-T2]:dN:factor", ErrBadSchedule, tok, kind)
-			}
-			d, err := strconv.Atoi(dStr[1:])
-			if err != nil {
-				return nil, fmt.Errorf("%w: disk in %q: %v", ErrBadSchedule, tok, err)
-			}
-			e.Disk = d
-			f, err := strconv.ParseFloat(fStr, 64)
-			if err != nil {
-				return nil, fmt.Errorf("%w: factor in %q: %v", ErrBadSchedule, tok, err)
-			}
-			e.Factor = f
 		default:
 			return nil, fmt.Errorf("%w: unknown fault kind %q in %q", ErrBadSchedule, kind, tok)
 		}
@@ -288,19 +204,6 @@ func Parse(spec string) (Schedule, error) {
 		out = append(out, e)
 	}
 	return out.Sorted(), nil
-}
-
-// CutTimeRange splits "T-T2" into its endpoints, leaving exponent
-// notation like 1e-3 intact: the separator is the first '-' that is
-// neither leading nor preceded by an exponent marker. The node, gray
-// and disk fault parsers all split their time ranges here.
-func CutTimeRange(s string) (from, to string, ranged bool) {
-	for i := 1; i < len(s); i++ {
-		if s[i] == '-' && s[i-1] != 'e' && s[i-1] != 'E' {
-			return s[:i], s[i+1:], true
-		}
-	}
-	return s, "", false
 }
 
 // Random draws a fail/repair timeline for disks 0..disks-1 over

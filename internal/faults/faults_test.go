@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -59,6 +60,11 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 		"fail@NaN:d0",   // non-finite time
 		"fail@+Inf:d0",  // non-finite time
 		"fail@300:d-2",  // negative disk
+		// The disk-level gray kinds are retired; gray faults live in
+		// the cluster layer (cluster.ParseGrayFaults).
+		"slow@300-700:d0:12",
+		"jitter@50:d1:0.8",
+		"brownout@400-800:d2:0.4",
 	} {
 		if _, err := Parse(spec); !errors.Is(err, ErrBadSchedule) {
 			t.Errorf("Parse(%q): want ErrBadSchedule, got %v", spec, err)
@@ -174,4 +180,45 @@ func TestParseRandom(t *testing.T) {
 			t.Errorf("parseRandom(%q): want ErrBadSchedule, got %v", bad, err)
 		}
 	}
+}
+
+// FuzzParseFaultSpec: Parse never panics, fails only with
+// ErrBadSchedule, and everything it accepts survives a String
+// round-trip (sorted order included). The seeds in the retired gray
+// syntax (slow, jitter, brownout) exercise the rejection path.
+func FuzzParseFaultSpec(f *testing.F) {
+	f.Add("fail@300:d0,repair@500:d0")
+	f.Add("glitch@600:5,bufloss@700:movie")
+	f.Add("slow@300-700:d0:12")
+	f.Add("jitter@50:d1:0.8,brownout@400-800:d2:0.4")
+	f.Add("slow@1e-05-2.5:d3:1e-05")
+	f.Add("bufloss@700")
+	f.Add("slow@300:d0:NaN")
+	f.Add("brownout@300:d0:1.5")
+	f.Add("")
+	f.Add(strings.Repeat("fail@1:d0,", 30))
+	f.Fuzz(func(t *testing.T, spec string) {
+		s, err := Parse(spec)
+		if err != nil {
+			if !errors.Is(err, ErrBadSchedule) {
+				t.Fatalf("error %v is not ErrBadSchedule", err)
+			}
+			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("parsed schedule fails validation: %v", err)
+		}
+		back, err := Parse(s.String())
+		if err != nil {
+			t.Fatalf("round-trip of %q (%q) failed: %v", spec, s.String(), err)
+		}
+		if len(back) != len(s) {
+			t.Fatalf("round-trip length %d != %d", len(back), len(s))
+		}
+		for i := range s {
+			if back[i] != s[i] {
+				t.Fatalf("round-trip event %d: %+v != %+v", i, back[i], s[i])
+			}
+		}
+	})
 }

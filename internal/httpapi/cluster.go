@@ -34,31 +34,13 @@ type ClusterCounters struct {
 	last *ChurnLastRun
 }
 
-// notePlan and noteSimulate record one request; a nil receiver (the
-// bare NewMux, which has no /statusz) drops the count.
-func (c *ClusterCounters) notePlan() {
-	if c != nil {
-		c.plan.Add(1)
-	}
-}
-
-func (c *ClusterCounters) noteSimulate() {
-	if c != nil {
-		c.simulate.Add(1)
-	}
-}
-
-func (c *ClusterCounters) noteChurn() {
-	if c != nil {
-		c.churn.Add(1)
-	}
-}
+// notePlan, noteSimulate and noteChurn record one request.
+func (c *ClusterCounters) notePlan()     { c.plan.Add(1) }
+func (c *ClusterCounters) noteSimulate() { c.simulate.Add(1) }
+func (c *ClusterCounters) noteChurn()    { c.churn.Add(1) }
 
 // noteChurnResult publishes a completed churn run's gauges.
 func (c *ClusterCounters) noteChurnResult(last ChurnLastRun) {
-	if c == nil {
-		return
-	}
 	c.mu.Lock()
 	c.last = &last
 	c.mu.Unlock()
@@ -66,9 +48,6 @@ func (c *ClusterCounters) noteChurnResult(last ChurnLastRun) {
 
 // Snapshot returns the current counts.
 func (c *ClusterCounters) Snapshot() ClusterStatus {
-	if c == nil {
-		return ClusterStatus{}
-	}
 	c.mu.Lock()
 	last := c.last
 	if last != nil {

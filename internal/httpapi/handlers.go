@@ -29,24 +29,17 @@ const maxBodyBytes = 1 << 20
 // linear in n and nothing physical exceeds this.
 const maxStreamsPerMovie = 1 << 20
 
-// NewMux returns the service's routing table with default limits and no
-// load shedding; New composes the hardened stack around it. Sizing
-// endpoints get a fresh evaluator (per-mux memo cache, all CPUs).
-func NewMux() *http.ServeMux {
-	return newMux(maxBodyBytes, nil, nil, &sizing.Evaluator{}, nil)
-}
-
-// newMux builds the routing table with a body limit, an evaluator for
-// the sizing endpoints and, when gate/br are non-nil, a bulkhead and a
-// circuit breaker on the simulation endpoints. Concurrent plan/curve
-// requests share the evaluator's worker pool and memo cache, so load
-// fans out across at most the configured budget regardless of request
-// count. Every route answers 503 once its request deadline passes; a
-// breaker-gated route does so inside breakerGate.
+// newMux builds New's routing table with a body limit, an evaluator for
+// the sizing endpoints, and a bulkhead and a circuit breaker on the
+// simulation endpoints. Concurrent plan/curve requests share the
+// evaluator's worker pool and memo cache, so load fans out across at
+// most the configured budget regardless of request count. Every route
+// answers 503 once its request deadline passes; a breaker-gated route
+// does so inside breakerGate.
 func newMux(maxBody int64, gate *resilience.Bulkhead, br *resilience.Breaker, eval *sizing.Evaluator, cc *ClusterCounters) *http.ServeMux {
 	mux := http.NewServeMux()
 	handle := func(path string, h http.Handler) { mux.Handle(path, answerTimeout(h)) }
-	handle("/v1/healthz", http.HandlerFunc(handleHealth))
+	handle("/v1/healthz", http.HandlerFunc(handleHealthz))
 	handle("/v1/hit", jsonHandler(maxBody, handleHit))
 	handle("/v1/plan", jsonHandler(maxBody, func(ctx context.Context, req PlanRequest) (PlanResponse, error) {
 		return handlePlan(ctx, eval, req)
@@ -77,28 +70,13 @@ func newMux(maxBody int64, gate *resilience.Bulkhead, br *resilience.Breaker, ev
 	} {
 		// The breaker sits outside the bulkhead so an open circuit
 		// fast-fails without consuming an admission slot.
-		if gate != nil {
-			h = limitInflight(gate, h)
-		}
-		if br != nil {
-			mux.Handle(path, breakerGate(br, h))
-		} else {
-			handle(path, h)
-		}
+		mux.Handle(path, breakerGate(br, limitInflight(gate, h)))
 	}
 	return mux
 }
 
 // maxReplications bounds one replication request.
 const maxReplications = 64
-
-func handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("use GET"))
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
 
 // jsonHandler adapts a typed POST handler. fn receives the request
 // context; a fn error that reflects the context's own cancellation gets

@@ -26,7 +26,7 @@ func postJSON(t *testing.T, srv *httptest.Server, path, body string) (*http.Resp
 
 func newServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := httptest.NewServer(NewMux())
+	srv := httptest.NewServer(New(Options{}))
 	t.Cleanup(srv.Close)
 	return srv
 }
@@ -240,6 +240,15 @@ func TestSimulateEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Error("over-cap horizon should 400")
 	}
+	// The disk-level gray syntax is retired: gray faults are a cluster
+	// feature (/v1/cluster/churn's "gray").
+	resp, body = postJSON(t, srv, "/v1/simulate", `{
+		"config": {"l": 120, "b": 60, "n": 30}, "lambda": 0.5, "horizon": 1000,
+		"faults": "slow@300-700:d0:12"
+	}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("retired gray fault spec answered %d, want 400: %s", resp.StatusCode, body)
+	}
 }
 
 func TestDeterministicSimulateAcrossCalls(t *testing.T) {
@@ -269,7 +278,7 @@ func FuzzHitEndpoint(f *testing.F) {
 	for _, s := range seeds {
 		f.Add(s)
 	}
-	mux := NewMux()
+	mux := New(Options{})
 	f.Fuzz(func(t *testing.T, body string) {
 		req := httptest.NewRequest(http.MethodPost, "/v1/hit", strings.NewReader(body))
 		rec := httptest.NewRecorder()

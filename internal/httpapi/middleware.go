@@ -80,7 +80,6 @@ func (o Options) withDefaults() Options {
 // New returns the hardened service handler: panic recovery, per-request
 // timeouts, body limits, load shedding on the simulation endpoints, a
 // circuit breaker over them, and the health/introspection endpoints.
-// NewMux remains the bare routing table for embedding.
 func New(o Options) http.Handler {
 	o = o.withDefaults()
 	state := o.State
@@ -186,8 +185,9 @@ func withDeadline(d time.Duration, next http.Handler) http.Handler {
 
 // answerTimeout caps next's wall time at the request context's
 // deadline: when it passes, the client gets a 503 with timeoutBody even
-// if next ignores its context and keeps running. A request without a
-// deadline (the bare NewMux) runs next directly.
+// if next ignores its context and keeps running. New's withDeadline
+// gives every request a deadline; one without (breakerGate driven
+// directly) runs next directly.
 func answerTimeout(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		dl, ok := r.Context().Deadline()

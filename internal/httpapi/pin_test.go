@@ -35,7 +35,7 @@ func TestResponsesPinned(t *testing.T) {
 			"piggyback": true, "slew": 0.08, "totalStreams": 60, "engine": "hybrid",
 			"fluidThreshold": 5, "particleRate": 10`
 	)
-	h := NewMux()
+	h := New(Options{})
 	for _, c := range []struct {
 		name, path, body, want string
 	}{

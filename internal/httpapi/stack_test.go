@@ -47,7 +47,7 @@ func bigPlanBody(t *testing.T, movies int) []byte {
 func TestCanceledPlanFreesPool(t *testing.T) {
 	pool := parallel.NewPool(2)
 	eval := &sizing.Evaluator{Workers: 2, Pool: pool}
-	srv := httptest.NewServer(newMux(maxBodyBytes, nil, nil, eval, nil))
+	srv := httptest.NewServer(New(Options{Evaluator: eval}))
 	defer srv.Close()
 
 	body := bigPlanBody(t, 100)

@@ -9,9 +9,9 @@ import (
 // The sim engine's event kinds. A movie's arrival and restart chains
 // and every per-viewer event fire through movieState.Fire, with the
 // viewer's index in the movie's viewers as the operand; a partition's
-// read end and expiry fire through activePart.Fire. evFault and
-// evFaultEnd only name the fault timeline's callbacks, which a run
-// schedules a fixed number of times (see scheduleFaults).
+// read end and expiry fire through activePart.Fire; a scheduled fault
+// fires through faultTimeline.Fire, with its index in the time-sorted
+// schedule as the operand.
 const (
 	evRestart des.Kind = iota
 	evArrival
@@ -25,7 +25,6 @@ const (
 	evDegradedRetry
 	evOpRetry
 	evFault
-	evFaultEnd
 )
 
 var eventNames = [...]string{
@@ -41,7 +40,6 @@ var eventNames = [...]string{
 	evDegradedRetry: "degradedRetry",
 	evOpRetry:       "opRetry",
 	evFault:         "fault",
-	evFaultEnd:      "faultEnd",
 }
 
 // schedule queues a typed event at an internally generated time that is

@@ -15,7 +15,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"vodalloc/internal/des"
 	"vodalloc/internal/disk"
@@ -30,19 +29,26 @@ import (
 // shared policy for retrying transient allocation failures.
 const maxFaultRetries = 6
 
-// scheduleFaults turns the configured fault schedule into DES events.
-// Gray faults are intervals: the start event applies the degradation
-// and a second event at Until clears it, so a gray run replays exactly
-// like an outage run.
+// faultTimeline is the receiver of a run's fault events: the schedule
+// in time order, each event posted as one evFault whose operand is its
+// index here.
+type faultTimeline struct {
+	srv    *Server
+	events faults.Schedule
+}
+
+// Fire injects the scheduled fault at index arg.
+func (tl *faultTimeline) Fire(now float64, _ des.Kind, arg int) {
+	tl.srv.onFault(tl.events[arg], now)
+}
+
+// scheduleFaults turns the configured fault schedule into DES events,
+// one per event inside the horizon.
 func (s *Server) scheduleFaults() {
-	for _, e := range s.cfg.Faults.Sorted() {
-		if e.At > s.cfg.Horizon {
-			continue
-		}
-		ev := e
-		s.schedule(ev.At, des.Func(func(now float64) { s.onFault(ev, now) }), evFault, 0)
-		if ev.Kind.Gray() && ev.Until > ev.At && ev.Until <= s.cfg.Horizon {
-			s.schedule(ev.Until, des.Func(func(now float64) { s.clearGray(ev, now) }), evFaultEnd, 0)
+	tl := &faultTimeline{srv: s, events: s.cfg.Faults.Sorted()}
+	for i, e := range tl.events {
+		if e.At <= s.cfg.Horizon {
+			s.schedule(e.At, tl, evFault, i)
 		}
 	}
 }
@@ -70,92 +76,6 @@ func (s *Server) onFault(e faults.Event, now float64) {
 		s.emit(now, trace.Glitch, "", 0, 0, fmt.Sprintf("count=%d", e.Count))
 	case faults.BufferLoss:
 		s.onBufferLoss(e.Movie, now)
-	case faults.SlowDisk, faults.DiskJitter, faults.Brownout:
-		s.setGray(e, now)
-	}
-}
-
-// graySeedSalt decorrelates the jitter stream from the arrival/VCR
-// stream so adding a gray fault never perturbs the traffic draws.
-const graySeedSalt = 0x6772617966726565
-
-// grayLatAlpha is the per-disk latency EWMA smoothing factor.
-const grayLatAlpha = 0.2
-
-// diskLatAcc tracks one disk's service latency in normalized units
-// (1.0 = nominal seek+transfer). Fixed-size, grown per disk — never
-// per event — so the hot allocation path stays allocation-free.
-type diskLatAcc struct {
-	ops       uint64
-	ewma, sum float64
-	max       float64
-}
-
-// ensureGray sizes the per-disk gray state to cover disk d (elastic
-// arrays provision disks on demand).
-func (s *Server) ensureGray(d int) {
-	for len(s.grayMul) <= d {
-		s.grayMul = append(s.grayMul, 1)
-		s.graySigma = append(s.graySigma, 0)
-		s.grayFrac = append(s.grayFrac, 1)
-		s.diskLat = append(s.diskLat, diskLatAcc{})
-	}
-}
-
-func (s *Server) setGray(e faults.Event, now float64) {
-	s.ensureGray(e.Disk)
-	switch e.Kind {
-	case faults.SlowDisk:
-		s.grayMul[e.Disk] = e.Factor
-	case faults.DiskJitter:
-		s.graySigma[e.Disk] = e.Factor
-	case faults.Brownout:
-		s.grayFrac[e.Disk] = e.Factor
-	}
-	s.grayEvents++
-	s.emit(now, trace.Gray, "", 0, 0, fmt.Sprintf("%s disk=%d factor=%g", e.Kind, e.Disk, e.Factor))
-}
-
-func (s *Server) clearGray(e faults.Event, now float64) {
-	s.ensureGray(e.Disk)
-	switch e.Kind {
-	case faults.SlowDisk:
-		s.grayMul[e.Disk] = 1
-	case faults.DiskJitter:
-		s.graySigma[e.Disk] = 0
-	case faults.Brownout:
-		s.grayFrac[e.Disk] = 1
-	}
-	s.emit(now, trace.Gray, "", 0, 0, fmt.Sprintf("%s disk=%d cleared", e.Kind, e.Disk))
-}
-
-// observeDiskLat records one disk op's service latency: the nominal
-// unit time inflated by the disk's active gray faults (slow multiplier,
-// brownout throughput loss, and a mean-one lognormal jitter draw from
-// the dedicated gray RNG). Baseline runs record exactly 1.0 per op and
-// draw nothing.
-func (s *Server) observeDiskLat(d int) {
-	if d < 0 {
-		return
-	}
-	s.ensureGray(d)
-	lat := s.grayMul[d]
-	if f := s.grayFrac[d]; f > 0 && f < 1 {
-		lat /= f
-	}
-	if sg := s.graySigma[d]; sg > 0 {
-		lat *= math.Exp(sg*s.grayRNG.NormFloat64() - sg*sg/2)
-	}
-	a := &s.diskLat[d]
-	a.ops++
-	a.sum += lat
-	if a.ops == 1 {
-		a.ewma = lat
-	} else {
-		a.ewma += grayLatAlpha * (lat - a.ewma)
-	}
-	if lat > a.max {
-		a.max = lat
 	}
 }
 
@@ -278,7 +198,6 @@ func (s *Server) allocateBatchSlot(now float64) disk.Slot {
 	for {
 		slot, err := s.disks.Allocate()
 		if err == nil {
-			s.observeDiskLat(slot.Disk())
 			return slot
 		}
 		if errors.Is(err, disk.ErrTransient) {

@@ -90,26 +90,12 @@ type FaultStats struct {
 	// ShedRate and ForcedMissRate are per-arrival rates.
 	ShedRate       float64
 	ForcedMissRate float64
-	// GrayEvents counts gray-fault applications (slow/jitter/brownout)
-	// that took effect.
-	GrayEvents uint64
 }
 
 // Any reports whether any fault or degraded-mode activity occurred.
 func (f FaultStats) Any() bool {
 	return f.DiskFailures+f.DiskRepairs+f.PartitionsLost+f.SkippedRestarts+
-		f.Preempted+f.Recovered+f.ForcedMisses+f.Shed+f.Retries+f.GrayEvents > 0
-}
-
-// DiskLatency is one disk's service-latency tracking in normalized
-// units (1.0 = nominal): gray faults inflate it, and the EWMA is the
-// health signal a cluster layer would score the disk by.
-type DiskLatency struct {
-	Disk int
-	Ops  uint64
-	EWMA float64
-	Mean float64
-	Max  float64
+		f.Preempted+f.Recovered+f.ForcedMisses+f.Shed+f.Retries > 0
 }
 
 // Result is a single-movie run's measurements: the movie's statistics
@@ -126,8 +112,6 @@ type Result struct {
 
 	// Faults is the run's fault/degradation accounting.
 	Faults FaultStats
-	// DiskLatency is the per-disk service-latency tracking.
-	DiskLatency []DiskLatency
 }
 
 // Summary renders a human-readable digest.
@@ -137,7 +121,6 @@ func (r *Result) Summary() string {
 	fmt.Fprintf(&b, "dedicated avg=%.2f peak=%d; batch avg=%.2f; viewers avg=%.1f peak=%.0f\n",
 		r.AvgDedicated, r.PeakDedicated, r.AvgBatch, r.AvgViewers, r.PeakViewers)
 	writeFaultSummary(&b, r.Faults)
-	writeDiskLatency(&b, r.DiskLatency)
 	return b.String()
 }
 
@@ -151,28 +134,6 @@ func writeFaultSummary(b *strings.Builder, f FaultStats) {
 		f.Shed, f.ShedRate, f.ForcedMisses, f.ForcedMissRate, f.Preempted, f.Recovered)
 	fmt.Fprintf(b, "  lostPartitions=%d skippedRestarts=%d retries=%d\n",
 		f.PartitionsLost, f.SkippedRestarts, f.Retries)
-	if f.GrayEvents > 0 {
-		fmt.Fprintf(b, "  grayEvents=%d\n", f.GrayEvents)
-	}
-}
-
-// writeDiskLatency renders the per-disk latency trackers; silent when
-// no disk ever deviated from nominal (keeps baseline output unchanged).
-func writeDiskLatency(b *strings.Builder, lat []DiskLatency) {
-	degraded := false
-	for _, d := range lat {
-		if d.Max > 1 {
-			degraded = true
-			break
-		}
-	}
-	if !degraded {
-		return
-	}
-	for _, d := range lat {
-		fmt.Fprintf(b, "  disk %d: ops=%d lat ewma=%.2f mean=%.2f max=%.2f\n",
-			d.Disk, d.Ops, d.EWMA, d.Mean, d.Max)
-	}
 }
 
 func writeMovieSummary(b *strings.Builder, r *MovieResult) {
@@ -214,9 +175,6 @@ type ServerResult struct {
 
 	// Faults is the run's fault/degradation accounting.
 	Faults FaultStats
-	// DiskLatency is the per-disk service-latency tracking, indexed by
-	// disk; empty when no disk op was ever timed.
-	DiskLatency []DiskLatency
 }
 
 // TotalResumes sums the resume events across movies.
@@ -251,7 +209,6 @@ func (r *ServerResult) Summary() string {
 	fmt.Fprintf(&b, "shared: dedicated avg=%.2f peak=%d; viewers avg=%.1f peak=%.0f; buffer peak=%.1f\n",
 		r.AvgDedicated, r.PeakDedicated, r.AvgViewers, r.PeakViewers, r.BufferPeak)
 	writeFaultSummary(&b, r.Faults)
-	writeDiskLatency(&b, r.DiskLatency)
 	return b.String()
 }
 
@@ -326,19 +283,10 @@ func (s *Server) collectServer() *ServerResult {
 	}
 	fs.DegradedFraction = s.degradedTW.Average(now)
 	fs.Availability = 1 - fs.DegradedFraction
-	fs.GrayEvents = s.grayEvents
 	if arrivals > 0 {
 		fs.ShedRate = float64(fs.Shed) / float64(arrivals)
 		fs.ForcedMissRate = float64(fs.ForcedMisses) / float64(arrivals)
 	}
 	sr.Faults = fs
-	for d, a := range s.diskLat {
-		if a.ops == 0 {
-			continue
-		}
-		sr.DiskLatency = append(sr.DiskLatency, DiskLatency{
-			Disk: d, Ops: a.ops, EWMA: a.ewma, Mean: a.sum / float64(a.ops), Max: a.max,
-		})
-	}
 	return sr
 }

@@ -194,16 +194,6 @@ type Server struct {
 	skippedRestarts           uint64
 	preempted                 uint64
 
-	// Gray-fault state, indexed by disk (grown on demand, never
-	// per-event): the SlowDisk latency multiplier, the DiskJitter
-	// lognormal sigma, and the Brownout throughput fraction. grayRNG is
-	// a dedicated stream for jitter draws so baseline runs consume no
-	// extra randomness; diskLat accumulates per-disk service latency.
-	grayMul, graySigma, grayFrac []float64
-	grayRNG                      *rand.Rand
-	grayEvents                   uint64
-	diskLat                      []diskLatAcc
-
 	bufferErr error // a pool accounting error captured mid-run
 	ran       bool
 
@@ -318,7 +308,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	srv := &Server{
 		cfg:     cfg,
 		rng:     rand.New(rand.NewSource(cfg.Seed)),
-		grayRNG: rand.New(rand.NewSource(cfg.Seed ^ graySeedSalt)),
 		disks:   arr,
 		pool:    buffer.NewElasticPool(),
 		tr:      tr,
@@ -618,7 +607,6 @@ func (s *Server) acquireDedicated(now float64, v *viewer) bool {
 	if err != nil {
 		return false
 	}
-	s.observeDiskLat(slot.Disk())
 	v.slot = slot
 	s.dedInUse++
 	if s.dedInUse > s.dedPeak {

@@ -53,6 +53,5 @@ func singleResult(sr *ServerResult) *Result {
 		PeakViewers:   sr.PeakViewers,
 		BufferPeak:    sr.BufferPeak,
 		Faults:        sr.Faults,
-		DiskLatency:   sr.DiskLatency,
 	}
 }

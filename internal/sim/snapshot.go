@@ -14,10 +14,10 @@ import (
 )
 
 // Checkpoint restore is replay-based. The event queue's typed events
-// name live movie, viewer and partition objects (and the fault timeline
-// schedules callbacks), none of which a checkpoint serializes; but the
-// simulation is deterministic — the seeded RNG plus the schedule
-// seeded in begin() fully determine the event sequence. A checkpoint
+// name live movie, viewer and partition objects and the fault
+// timeline's entries by index, none of which a checkpoint serializes;
+// but the simulation is deterministic — the seeded RNG plus the
+// schedule seeded in begin() fully determine the event sequence. A checkpoint
 // therefore records only a boundary (how many events have fired, the
 // virtual clock, and a digest of the observable mutable state), and
 // restore rebuilds the server from its configuration and re-executes

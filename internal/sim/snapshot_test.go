@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vodalloc/internal/checkpoint"
+	"vodalloc/internal/faults"
 )
 
 // snapshotConfig is deliberately tiny — a short horizon with a busy
@@ -28,41 +29,71 @@ func snapshotConfig() Config {
 	return c
 }
 
+// faultedSnapshotConfig is snapshotConfig on a capped two-disk array
+// with a fault timeline inside the horizon: disk failures and a repair,
+// a transient allocation glitch and a buffer loss, each fired as a
+// typed fault event.
+func faultedSnapshotConfig(t *testing.T) Config {
+	t.Helper()
+	c := snapshotConfig()
+	c.TotalStreams = 2 * StreamsPerDisk
+	sched, err := faults.Parse("fail@30:d0,glitch@45:4,bufloss@55,repair@70:d0,fail@90:d1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Faults = sched
+	return c
+}
+
 // TestResumeAtEveryCheckpointBoundary is the checkpointing property
 // test: collect a checkpoint at every event boundary of a clean run,
 // then for each one build a fresh simulator, restore to it by replay,
 // and require the finished Result to equal the uninterrupted run's
-// exactly — a crash at any instant loses nothing.
+// exactly — a crash at any instant loses nothing. The faulted
+// configuration crosses every fault kind's typed event.
 func TestResumeAtEveryCheckpointBoundary(t *testing.T) {
-	cfg := snapshotConfig()
-	clean, err := mustSim(t, cfg).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"plain", snapshotConfig()},
+		{"faulted", faultedSnapshotConfig(t)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			clean, err := mustSim(t, cfg).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f := clean.Faults; len(cfg.Faults) > 0 && (f.DiskFailures < 2 || f.DiskRepairs < 1 || f.PartitionsLost < 1) {
+				t.Fatalf("fault timeline did not take effect: %+v", f)
+			}
 
-	var cps []Checkpoint
-	ckpt, err := mustSim(t, cfg).RunCheckpointedCtx(context.Background(), 1, func(cp Checkpoint) error {
-		cps = append(cps, cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ckpt, clean) {
-		t.Fatal("checkpointing perturbed the run: results differ")
-	}
-	if len(cps) < 100 {
-		t.Fatalf("only %d checkpoints; config too small to exercise the property", len(cps))
-	}
+			var cps []Checkpoint
+			ckpt, err := mustSim(t, cfg).RunCheckpointedCtx(context.Background(), 1, func(cp Checkpoint) error {
+				cps = append(cps, cp)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(ckpt, clean) {
+				t.Fatal("checkpointing perturbed the run: results differ")
+			}
+			if len(cps) < 100 {
+				t.Fatalf("only %d checkpoints; config too small to exercise the property", len(cps))
+			}
 
-	for i, cp := range cps {
-		res, err := mustSim(t, cfg).ResumeCheckpointedCtx(context.Background(), cp, 64, nil)
-		if err != nil {
-			t.Fatalf("resume at boundary %d (fired=%d): %v", i, cp.Fired, err)
-		}
-		if !reflect.DeepEqual(res, clean) {
-			t.Fatalf("resume at boundary %d (fired=%d, now=%v) diverged from the clean run", i, cp.Fired, cp.Now)
-		}
+			for i, cp := range cps {
+				res, err := mustSim(t, cfg).ResumeCheckpointedCtx(context.Background(), cp, 64, nil)
+				if err != nil {
+					t.Fatalf("resume at boundary %d (fired=%d): %v", i, cp.Fired, err)
+				}
+				if !reflect.DeepEqual(res, clean) {
+					t.Fatalf("resume at boundary %d (fired=%d, now=%v) diverged from the clean run", i, cp.Fired, cp.Now)
+				}
+			}
+		})
 	}
 }
 

@@ -59,9 +59,6 @@ const (
 	Shed
 	// Recovered: a degraded viewer regained a dedicated stream.
 	Recovered
-	// Gray: a gray fault (slow disk, jitter, brownout) was applied or
-	// cleared on a disk.
-	Gray
 )
 
 // String names the kind.
@@ -107,8 +104,6 @@ func (k Kind) String() string {
 		return "shed"
 	case Recovered:
 		return "recovered"
-	case Gray:
-		return "gray"
 	default:
 		return "unknown"
 	}

@@ -17,7 +17,10 @@
 # smoke plans Example 1 onto three nodes and runs a short failover
 # simulation; a churn smoke drives a flash crowd through the live
 # rebalancing controller; a gray smoke drives a slow disk and a
-# brownout through the hedged router; a vodperf smoke builds the frozen
+# brownout through the hedged router; an embedding smoke runs
+# examples/client, which posts /v1/hit, /v1/plan, /v1/reserve and
+# /v1/simulate through vodalloc.NewHTTPHandler in-process and exits
+# non-zero on any non-200; a vodperf smoke builds the frozen
 # benchmark program and runs its traced churn_blind workload once,
 # which calls the router and churn entry points it depends on and
 # checks their output, then its serve workload once, which drives
@@ -127,6 +130,11 @@ go run ./cmd/vodcluster churn -nodes 4 -movies 6 -node-streams 300 \
     -gray "slow:node0@200-600:12,brownout:node2@300-700:0.4" \
     -policy hedge -horizon 900 -warmup 100 -seed 7 >/dev/null
 echo "ci: gray smoke passed"
+
+# --- embedding smoke: the public facade's handler (the hardened stack
+# vodserverd serves) answers the example client's requests ---
+go run ./examples/client >/dev/null
+echo "ci: embedding smoke passed"
 
 # --- vodperf smoke: the traced churn_blind run calls NewRouter,
 # RouteLoad, RouteGray, Release, ReleaseDisk, SetGrayPolicy and both

@@ -225,8 +225,9 @@ func SplitRate(total float64, movies []Movie) ([]float64, error) {
 	return workload.SplitRate(total, movies)
 }
 
-// NewHTTPHandler returns the JSON/HTTP service handler (the same one
-// cmd/vodserverd serves): /v1/hit, /v1/plan, /v1/curve, /v1/reserve,
-// /v1/simulate, /v1/replicate and /v1/healthz. Mount it to embed the
-// model in an existing process.
-func NewHTTPHandler() http.Handler { return httpapi.NewMux() }
+// NewHTTPHandler returns the JSON/HTTP service handler cmd/vodserverd
+// serves, at its default limits: the /v1 model, sizing, simulation and
+// cluster endpoints behind per-request deadlines, body limits, load
+// shedding and a circuit breaker, plus /healthz, /readyz and /statusz.
+// Mount it to embed the model in an existing process.
+func NewHTTPHandler() http.Handler { return httpapi.New(httpapi.Options{}) }
