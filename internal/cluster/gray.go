@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// Node-level gray failures for the churn simulator — the repository's
-// one gray-failure model: unlike a NodeFault outage, a gray-faulted
+// Node-level gray failures for the churn simulator, the repository's
+// one gray-failure model. Unlike a NodeFault outage, a gray-faulted
 // node (or one of its disks) stays formally in service — it just
 // serves late. GraySlow multiplies its service latency, GrayJitter
 // stretches the latency tail with a seeded mean-one lognormal, and
